@@ -164,12 +164,7 @@ class HandelAggregator(Aggregator):
         if state["done"]:
             return
         aggregate: AggregateSignature = state["aggregate"]
-        if len(aggregate.signers) >= self.config.committee_size:
-            self._finalise(block, aggregate)
-        elif (
-            len(aggregate.signers) >= self.config.quorum_size
-            and not self.config.wait_for_all_votes
-        ):
+        if len(aggregate.signers) >= self.config.quorum_size:
             self._finalise(block, aggregate)
 
     def _collector_timeout(self, block: Block) -> None:

@@ -117,50 +117,11 @@ class TreeAggregator(Aggregator):
         self._trace_hot(
             "share_recv", block.view, block=block.block_id[:12], src=sender, role="internal"
         )
-        if self.config.batch_verification:
-            # Deferred ingest: hold the share and verify the whole set with
-            # one batched check once every child reported (or the level
-            # timer fires), instead of one verify per arrival.
-            state["children_unverified"][sender] = signature
-            children = state["tree"].children(self.process_id)
-            have = len(state["children_shares"]) + len(state["children_unverified"])
-            if have >= len(children):
-                self._internal_flush(block)
-            return
         self.replica.consume_cpu(self.config.cpu_model.verify_share)
         if not self.committee.verify_share(signature, block.signing_payload()):
             return
         state["children_shares"][sender] = signature
         self._internal_check_complete(block)
-
-    def _internal_flush(self, block: Block, send_after: bool = False) -> None:
-        """Batch-verify the held child shares, then continue aggregation."""
-        state = self._collection(block)
-        if state["sent_up"]:
-            return
-        if send_after:
-            state["internal_deadline"] = True
-        if state["verify_inflight"]:
-            return
-        pending, state["children_unverified"] = state["children_unverified"], {}
-        if not pending:
-            if state["internal_deadline"]:
-                self._internal_send_up(block)
-            return
-        state["verify_inflight"] = True
-
-        def on_result(valid: list) -> None:
-            state["verify_inflight"] = False
-            if state["sent_up"]:
-                return
-            for share in valid:
-                state["children_shares"][share.signer] = share
-            if state["internal_deadline"]:
-                self._internal_send_up(block)
-            else:
-                self._internal_check_complete(block)
-
-        self._verify_shares(list(pending.values()), block.signing_payload(), on_result)
 
     def _internal_check_complete(self, block: Block) -> None:
         state = self._collection(block)
@@ -170,12 +131,6 @@ class TreeAggregator(Aggregator):
             self._internal_send_up(block)
 
     def _internal_timeout(self, block: Block) -> None:
-        state = self._collection(block)
-        if self.config.batch_verification and (
-            state["children_unverified"] or state["verify_inflight"]
-        ):
-            self._internal_flush(block, send_after=True)
-            return
         self._internal_send_up(block)
 
     def _internal_send_up(self, block: Block) -> None:
@@ -185,18 +140,6 @@ class TreeAggregator(Aggregator):
         state["sent_up"] = True
         tree: AggregationTree = state["tree"]
         children_shares = dict(state["children_shares"])
-        if self.config.batch_verification and not children_shares:
-            # Childless internal node (small committees leave some internal
-            # positions without leaves): a one-signer aggregate would cost
-            # the root a full pairing check, while the bare share rides the
-            # root's *batched* direct-share verification.  The tallied
-            # multiplicities — and therefore the QC — are identical, and
-            # with no aggregated children there is nobody to ACK.
-            vote = SignatureMessage(
-                block_id=block.block_id, view=block.view, signature=state["own_share"]
-            )
-            self.replica.send(tree.root, vote, size_bytes=vote.size_bytes)
-            return
         # Iniva's multiplicity encoding: each aggregated child twice, plus one
         # extra copy of the parent's own signature per aggregated child.
         contributions = [(state["own_share"], 1 + len(children_shares))]
@@ -241,13 +184,6 @@ class TreeAggregator(Aggregator):
         if isinstance(signature, AggregateSignature):
             if sender not in tree.internal_nodes:
                 return
-            if self.config.batch_verification:
-                # Pen the aggregate with the direct shares: one mixed RLC
-                # check covers the whole quorum instead of two pairings per
-                # internal aggregate.
-                state["root_unverified"][sender] = signature
-                self._root_maybe_flush(block)
-                return
             self.replica.consume_cpu(
                 self.config.cpu_model.aggregate_verify_cost(len(signature.signers))
             )
@@ -257,65 +193,10 @@ class TreeAggregator(Aggregator):
         elif isinstance(signature, SignatureShare):
             if signature.signer != sender or sender not in tree.children(tree.root):
                 return
-            if self.config.batch_verification:
-                state["root_unverified"][sender] = signature
-                self._root_maybe_flush(block)
-                return
             self.replica.consume_cpu(self.config.cpu_model.verify_share)
             if not self.committee.verify_share(signature, block.signing_payload()):
                 return
             self._root_add_contribution(block, signature, weight=1, source=sender)
-
-    @staticmethod
-    def _contribution_signers(contribution: Any) -> frozenset:
-        if isinstance(contribution, AggregateSignature):
-            return contribution.signers
-        return frozenset({contribution.signer})
-
-    def _root_maybe_flush(self, block: Block) -> None:
-        """Batch-verify the root's held contributions at quorum reach."""
-        state = self._collection(block)
-        if state["done"] or state["root_verify_inflight"] or not state["root_unverified"]:
-            return
-        fresh: set = set()
-        for contribution in state["root_unverified"].values():
-            fresh |= self._contribution_signers(contribution)
-        fresh -= state["included"]
-        if not fresh:
-            state["root_unverified"] = {}
-            return
-        if len(state["included"]) + len(fresh) >= self.config.quorum_size:
-            self._root_flush(block)
-
-    def _root_flush(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["done"] or state["root_verify_inflight"]:
-            return
-        pending, state["root_unverified"] = state["root_unverified"], {}
-        if not pending:
-            if state["root_deadline"] and len(state["included"]) >= self.config.quorum_size:
-                self._root_on_quorum(block)
-            return
-        state["root_verify_inflight"] = True
-
-        def on_result(valid: list) -> None:
-            state["root_verify_inflight"] = False
-            if state["done"]:
-                return
-            for sender, contribution in valid:
-                self._root_add_contribution(block, contribution, weight=1, source=sender)
-                if state["done"]:
-                    return
-            if state["root_unverified"]:
-                self._root_maybe_flush(block)
-            if (
-                state["root_deadline"]
-                and not state["done"]
-                and len(state["included"]) >= self.config.quorum_size
-            ):
-                self._root_on_quorum(block)
-
-        self._verify_contributions(list(pending.items()), block.signing_payload(), on_result)
 
     def _root_add_contribution(self, block: Block, contribution: Any, weight: int, source: int) -> None:
         state = self._collection(block)
@@ -342,12 +223,6 @@ class TreeAggregator(Aggregator):
             included=len(state["included"]),
         )
         self._root_check_progress(block)
-        if not state["done"] and state["root_unverified"]:
-            # This contribution may be what makes the held shares reach
-            # quorum (e.g. an internal aggregate landing after a direct
-            # child's share was penned) — re-evaluate the flush condition
-            # instead of waiting for the next share arrival or the timer.
-            self._root_maybe_flush(block)
 
     def _root_check_progress(self, block: Block) -> None:
         state = self._collection(block)
@@ -366,13 +241,6 @@ class TreeAggregator(Aggregator):
     def _root_timeout(self, block: Block) -> None:
         state = self._collection(block)
         if state["done"]:
-            return
-        if self.config.batch_verification and (
-            state["root_unverified"] or state["root_verify_inflight"]
-        ):
-            # Verify whatever is still held before judging quorum.
-            state["root_deadline"] = True
-            self._root_flush(block)
             return
         if len(state["included"]) >= self.config.quorum_size:
             self._root_on_quorum(block)
@@ -422,13 +290,6 @@ class TreeAggregator(Aggregator):
                 "pending": [],
                 "root_timer_started": False,
                 "done": False,
-                # Batched-verification holding pens (batch_verification knob).
-                "children_unverified": {},
-                "verify_inflight": False,
-                "internal_deadline": False,
-                "root_unverified": {},
-                "root_verify_inflight": False,
-                "root_deadline": False,
                 "parent_ack": None,
                 "second_chance_sent": False,
                 "second_chance_expired": False,

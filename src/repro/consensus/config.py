@@ -41,9 +41,6 @@ class ConsensusConfig:
             reference).
         seed: Seed for the shuffle/latency randomness.
         cpu_model: CPU cost model for signatures and message handling.
-        wait_for_all_votes: If True the star collector waits (up to the
-            aggregation timeout) for all votes instead of finalising at
-            quorum — used for ablations.
     """
 
     committee_size: int = 21
@@ -60,7 +57,6 @@ class ConsensusConfig:
     signature_scheme: str = "hashsig"
     seed: int = 1
     cpu_model: CpuCostModel = field(default_factory=CpuCostModel)
-    wait_for_all_votes: bool = False
     # -- baseline aggregation scheme knobs (Gosig / Handel / Kauri) --------------
     gossip_fanout: int = 2
     gossip_interval: float = 0.002
@@ -78,25 +74,14 @@ class ConsensusConfig:
     #: contiguous from the requester's height; a still-behind requester
     #: simply asks again).
     max_sync_blocks: int = 64
-    # -- hot-path pacing/verification knobs (all opt-in; defaults preserve the
-    # -- paper-faithful timer-paced behaviour bit for bit) -----------------------
+    # -- hot-path pacing knobs (opt-in; defaults preserve the paper-faithful
+    # -- timer-paced behaviour bit for bit) --------------------------------------
     #: Optimistic responsiveness (HotStuff PODC'19): proposals fire the
     #: moment a replica becomes leader — on QC arrival or view entry — with
     #: the Δ/2Δ propose delays dropped and view advance driven by QC
     #: arrival, so the pacemaker timers become a fallback rather than the
     #: pacer and chained views pipeline back to back.
     optimistic_responsiveness: bool = False
-    #: Defer per-share verification at collection points (star collector,
-    #: tree internal nodes) and verify the whole pending set with one
-    #: batched check (RLC ``verify_batch``: ~2 pairings for k shares under
-    #: bls) once enough shares arrived; a failed batch falls back to
-    #: per-share verification so invalid shares are still rejected.
-    batch_verification: bool = False
-    #: Run those (batched) verification checks through the runtime's worker
-    #: pool (``Runtime.offload``) instead of inline, so a live event loop
-    #: never blocks on pairings.  The sim runtime always verifies inline to
-    #: stay deterministic; this knob only changes live-runtime scheduling.
-    verification_offload: bool = False
     #: Defer an under-full proposal for up to this many seconds after the
     #: leader first tried to propose the view, waiting for the mempool to
     #: fill a ``batch_size`` batch (an early full batch fires immediately).

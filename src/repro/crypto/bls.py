@@ -174,61 +174,8 @@ class BlsMultiSig(MultiSignatureScheme):
             self._weighted_key_cache[weight_key] = weighted
         return weighted
 
-    def verify_contributions(
-        self,
-        parts: Iterable[Any],
-        message: bytes,
-        public_keys: Mapping[int, Any],
-    ) -> bool:
-        """RLC-verify a mixed bag of shares and aggregates with ~2 pairings.
-
-        The batched share check generalises: an aggregate ``A_i`` with
-        weighted key ``apk_i`` satisfies ``e(A_i, G) == e(H(m), apk_i)``
-        exactly like a share does with its signer key, so one
-        random-linear-combination equation
-
-            e(sum_i c_i * V_i, G) == e(H(m), sum_i c_i * K_i)
-
-        covers the whole bag — the tree root validates a quorum's worth of
-        direct shares *and* internal aggregates with two pairings total.
-        """
-        parts = list(parts)
-        if not parts:
-            return True
-        if len(parts) == 1:
-            part = parts[0]
-            if isinstance(part, SignatureShare):
-                key = public_keys.get(part.signer)
-                return key is not None and self.verify_share(part, message, key)
-            if isinstance(part, AggregateSignature):
-                return self.verify_aggregate(part, message, public_keys)
-            return False
-        transcript = hashlib.sha256(b"iniva-bls-mixed" + message)
-        values = []
-        keys = []
-        for part in parts:
-            value = getattr(part, "value", None)
-            if not isinstance(value, Point) or value.is_infinity or not value.is_on_curve():
-                return False
-            if isinstance(part, SignatureShare):
-                key = public_keys.get(part.signer)
-                if key is None:
-                    return False
-                transcript.update(b"s" + part.signer.to_bytes(8, "big", signed=True))
-            elif isinstance(part, AggregateSignature):
-                key = self._weighted_key(part, public_keys)
-                if key is None:
-                    return False
-                transcript.update(b"a" + key.to_bytes())
-            else:
-                return False
-            transcript.update(value.to_bytes())
-            values.append(value)
-            keys.append(key)
-        return self._rlc_check(values, keys, transcript.digest(), message)
-
     def _rlc_check(self, values, keys, seed: bytes, message: bytes) -> bool:
-        """The shared random-linear-combination equation (two pairings).
+        """The random-linear-combination equation (two pairings).
 
         Coefficients are 64-bit (small-exponent test): the forgery
         probability stays at ~2^-64 while the combination's scalar
@@ -327,7 +274,6 @@ class BlsMultiSig(MultiSignatureScheme):
         cache_key = self._aggregate_key(aggregate, message, public_keys)
         if cache_key is None:
             return False
-        weight_key = cache_key[1]
         cached = self._aggregate_cache.get(cache_key)
         if cached is not None:
             return cached
@@ -335,14 +281,7 @@ class BlsMultiSig(MultiSignatureScheme):
         # multiplicity) multiset, which repeats across blocks (the tree
         # shapes are few), so the scalar multiplications are memoised
         # separately from the pairings.
-        weighted_key = self._weighted_key_cache.get(weight_key)
-        if weighted_key is None:
-            weighted_key = Point.infinity(self.params)
-            for signer, mult in aggregate.multiplicities.items():
-                weighted_key = weighted_key + public_keys[signer] * mult
-            if len(self._weighted_key_cache) >= self.PAIRING_CACHE_MAX:
-                self._weighted_key_cache.clear()
-            self._weighted_key_cache[weight_key] = weighted_key
+        weighted_key = self._weighted_key(aggregate, public_keys)
         lhs = self._pairing(self._generator, aggregate.value)
         rhs = self._pairing(self._hash_message(message), weighted_key)
         result = lhs == rhs

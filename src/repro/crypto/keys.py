@@ -90,10 +90,6 @@ class Committee:
         """Verify many shares on one message (batched where the backend can)."""
         return self._scheme.verify_batch(shares, message, self.public_keys())
 
-    def verify_contributions(self, parts, message: bytes) -> bool:
-        """Verify a mixed bag of shares and aggregates (batched where possible)."""
-        return self._scheme.verify_contributions(parts, message, self.public_keys())
-
     def trust_aggregate(self, aggregate, message: bytes) -> None:
         """Mark a collector-built aggregate as verified (backend cache seed)."""
         self._scheme.trust_aggregate(aggregate, message, self.public_keys())

@@ -185,33 +185,6 @@ class MultiSignatureScheme(ABC):
                 return False
         return True
 
-    def verify_contributions(
-        self,
-        parts: Iterable[Union[SignatureShare, AggregateSignature]],
-        message: bytes,
-        public_keys: Mapping[int, Any],
-    ) -> bool:
-        """Verify a mixed bag of shares and aggregates on one message.
-
-        ``True`` iff every part is valid.  The default dispatches each
-        part to :meth:`verify_share` / :meth:`verify_aggregate`; the BLS
-        backend overrides this with a single random-linear-combination
-        check (~2 pairings however many parts), which is what a tree root
-        uses to validate a whole quorum's worth of direct shares and
-        internal aggregates at once.  An empty bag verifies trivially.
-        """
-        for part in parts:
-            if isinstance(part, SignatureShare):
-                key = public_keys.get(part.signer)
-                if key is None or not self.verify_share(part, message, key):
-                    return False
-            elif isinstance(part, AggregateSignature):
-                if not self.verify_aggregate(part, message, public_keys):
-                    return False
-            else:
-                return False
-        return True
-
     def trust_aggregate(
         self,
         aggregate: AggregateSignature,

@@ -12,7 +12,7 @@ through a stable, versioned JSON schema via :meth:`RunResult.to_dict` /
 :meth:`RunResult.from_dict`.
 
 ``repro.scenarios.run_scenario`` and the :mod:`repro.api` facade both
-return this type; ``ScenarioResult``/``EpochOutcome`` remain as aliases.
+return this type.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from repro.experiments.runner import _make_signature_scheme
 from repro.observe.logging_setup import configure_logging
 from repro.runtime.fabric import Placement, WorkerFabric
 from repro.runtime.live import LiveNode, serve_window
-from repro.runtime.net import maybe_install_uvloop
 from repro.scenarios.engine import compile_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -104,7 +103,6 @@ def run_worker(stdin: Any = None, stdout: Any = None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     config = json.load(stdin)
-    maybe_install_uvloop()
     logger.info(
         "worker %s starting (incarnation %s, cold_start=%s)",
         config.get("worker"),

@@ -1,4 +1,4 @@
-"""Socket and event-loop tuning for the live runtime's TCP links.
+"""Socket tuning for the live runtime's TCP links.
 
 Consensus traffic is many small frames (votes, acks, heartbeats are tens
 of bytes) punctuated by proposal bursts, exchanged over long-lived
@@ -17,42 +17,23 @@ the runtime opens (or accepts) goes through :func:`tune_socket`:
 All options are best-effort: a platform that rejects one (or a test
 double without a real socket) is left at its defaults rather than
 failing the connection.
-
-Event loop: setting ``REPRO_UVLOOP=1`` swaps in `uvloop`_'s event-loop
-policy when the package is importable.  The dependency is *optional and
-never required* — the stock asyncio loop is the tested default, and the
-gate silently keeps it when uvloop is absent, so deployments can opt in
-without the codebase growing a hard dependency.
-
-.. _uvloop: https://github.com/MagicStack/uvloop
 """
 
 from __future__ import annotations
 
-import asyncio
-import logging
-import os
 import socket
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
     "SOCKET_BUFFER_BYTES",
-    "maybe_install_uvloop",
     "tune_socket",
     "tune_writer",
 ]
-
-logger = logging.getLogger("repro.runtime.net")
 
 #: Send/receive buffer request for peer and client sockets (the kernel
 #: may clamp it).  1 MiB absorbs a full proposal fan-in burst at n=200
 #: without backpressuring the writing coroutine.
 SOCKET_BUFFER_BYTES = 1 << 20
-
-#: Environment variable opting into the uvloop event-loop policy.
-UVLOOP_ENV = "REPRO_UVLOOP"
-
-_uvloop_installed: Optional[bool] = None
 
 
 def tune_socket(sock: socket.socket) -> None:
@@ -81,27 +62,3 @@ def tune_writer(writer: Any) -> None:
         return
     if isinstance(sock, socket.socket):
         tune_socket(sock)
-
-
-def maybe_install_uvloop() -> bool:
-    """Install uvloop's event-loop policy when opted in and available.
-
-    Returns whether uvloop is active.  Call before ``asyncio.run`` (the
-    cluster entrypoints and the worker ``__main__`` do); calling it again
-    is a cached no-op, so libraries can invoke it defensively.
-    """
-    global _uvloop_installed
-    if _uvloop_installed is not None:
-        return _uvloop_installed
-    _uvloop_installed = False
-    if os.environ.get(UVLOOP_ENV, "").strip().lower() in ("", "0", "false", "no"):
-        return False
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        logger.info("%s set but uvloop is not installed; using asyncio", UVLOOP_ENV)
-        return False
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    _uvloop_installed = True
-    logger.info("uvloop event-loop policy installed")
-    return True

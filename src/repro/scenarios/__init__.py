@@ -19,14 +19,11 @@ omission cartels.
 The :mod:`repro.api` facade is the preferred entry point
 (``repro.run``/``repro.sweep`` accept preset names, spec files and
 dicts); ``run_scenario`` returns the unified
-:class:`~repro.results.RunResult` (``ScenarioResult`` and
-``EpochOutcome`` remain as aliases).
+:class:`~repro.results.RunResult`.
 """
 
 from repro.scenarios.engine import (
     CompiledScenario,
-    EpochOutcome,
-    ScenarioResult,
     build_latency_model,
     build_scenario_deployment,
     compile_scenario,
@@ -49,10 +46,8 @@ __all__ = [
     "ChurnSpec",
     "CommitteeSpec",
     "CompiledScenario",
-    "EpochOutcome",
     "FaultSpec",
     "PRESETS",
-    "ScenarioResult",
     "ScenarioSpec",
     "TopologySpec",
     "WorkloadSpec",

@@ -42,8 +42,6 @@ from repro.simnet.topology import (
 
 __all__ = [
     "CompiledScenario",
-    "EpochOutcome",
-    "ScenarioResult",
     "WAN_REGION_MATRIX",
     "build_latency_model",
     "build_scenario_deployment",
@@ -148,8 +146,6 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         sync_on_recover=spec.resilience.catchup,
         max_sync_blocks=spec.resilience.max_sync_blocks,
         optimistic_responsiveness=spec.optimistic_responsiveness,
-        batch_verification=spec.batch_verification,
-        verification_offload=spec.verification_offload,
         **dict(spec.scheme_params),
     )
 
@@ -194,12 +190,6 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         attacker_ids=attacker_ids,
         epoch_duration=epoch_duration,
     )
-
-
-# The engine used to define its own result types; they are now the
-# repo-wide unified result (kept under the old names for compatibility).
-EpochOutcome = EpochMetrics
-ScenarioResult = RunResult
 
 
 def compiled_for_epoch(compiled: CompiledScenario, epoch: int) -> CompiledScenario:

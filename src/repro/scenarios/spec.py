@@ -465,21 +465,12 @@ class ScenarioSpec:
     view_timeout: Optional[float] = None
     # Tree shape: internal aggregators; ``None`` is the balanced default.
     num_internal: Optional[int] = None
-    # Hot-path pacing and verification knobs (see ConsensusConfig).  All
-    # default off: the paper-faithful timer-paced, per-share-verified
-    # behaviour the figures and goldens pin.
-    #
+    # Hot-path pacing knob (see ConsensusConfig), default off: the
+    # paper-faithful timer-paced behaviour the figures and goldens pin.
     # ``optimistic_responsiveness`` enters a view the moment its QC forms
     # instead of waiting out the 2Δ propose delay (timers stay armed as
-    # the fallback).  ``batch_verification`` defers share checks at
-    # collectors and batches them into one verify_batch call (under
-    # ``bls`` the RLC check: ~2 pairings for any number of shares).
-    # ``verification_offload`` runs those batched checks through
-    # ``Runtime.offload`` — a worker pool under the live runtime, inline
-    # under sim so simulated runs stay deterministic.
+    # the fallback).
     optimistic_responsiveness: bool = False
-    batch_verification: bool = False
-    verification_offload: bool = False
     # Extra ConsensusConfig knobs for baseline schemes (gossip fanout,
     # Handel levels, Kauri fallback, ablation switches ...), stored as a
     # sorted tuple of pairs so the spec stays hashable; accepts a mapping.
@@ -512,8 +503,6 @@ class ScenarioSpec:
             "sync_on_recover",
             "max_sync_blocks",
             "optimistic_responsiveness",
-            "batch_verification",
-            "verification_offload",
         }
     )
 
@@ -663,8 +652,6 @@ class ScenarioSpec:
             "view_timeout": self.view_timeout,
             "num_internal": self.num_internal,
             "optimistic_responsiveness": self.optimistic_responsiveness,
-            "batch_verification": self.batch_verification,
-            "verification_offload": self.verification_offload,
             "scheme_params": dict(self.scheme_params),
             "committee": _spec_to_dict(self.committee),
             "topology": _spec_to_dict(self.topology),

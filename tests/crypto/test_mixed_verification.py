@@ -1,9 +1,8 @@
 """Tests for the hot-path verification primitives added for the live cluster.
 
-Covers the mixed share/aggregate random-linear-combination check
-(``verify_contributions``), the trusted-aggregate memo seeding
-(``trust_aggregate``), the shared-ladder multi-scalar multiplication,
-and the single-reduction pairing equality check (``tate_check``).
+Covers the trusted-aggregate memo seeding (``trust_aggregate``), the
+shared-ladder multi-scalar multiplication, and the single-reduction
+pairing equality check (``tate_check``).
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from repro.crypto.curve import (
     multi_scalar_mult,
     reference_scalar_mult,
 )
-from repro.crypto.keys import Committee
-from repro.crypto.multisig import AggregateSignature, SignatureShare, get_scheme
+from repro.crypto.multisig import AggregateSignature, get_scheme
 from repro.crypto.params import TOY_PARAMS
 from repro.crypto.pairing import tate_check, tate_pairing
 
@@ -42,103 +40,6 @@ def keys(scheme):
 
 def _share(scheme, secrets, pid, message=MESSAGE):
     return scheme.sign(secrets[pid], message, pid)
-
-
-class TestVerifyContributions:
-    def test_empty_bag_accepts(self, scheme, keys):
-        public, _ = keys
-        assert scheme.verify_contributions([], MESSAGE, public)
-
-    def test_single_share_dispatches_to_verify_share(self, scheme, keys):
-        public, secrets = keys
-        share = _share(scheme, secrets, 0)
-        assert scheme.verify_contributions([share], MESSAGE, public)
-        bad = SignatureShare(signer=0, value=share.value * 2)
-        assert not scheme.verify_contributions([bad], MESSAGE, public)
-
-    def test_single_aggregate_dispatches_to_verify_aggregate(self, scheme, keys):
-        public, secrets = keys
-        agg = scheme.aggregate(
-            [(_share(scheme, secrets, 0), 1), (_share(scheme, secrets, 1), 1)]
-        )
-        assert scheme.verify_contributions([agg], MESSAGE, public)
-
-    def test_mixed_bag_of_shares_and_aggregates(self, scheme, keys):
-        public, secrets = keys
-        agg = scheme.aggregate(
-            [(_share(scheme, secrets, 2), 1), (_share(scheme, secrets, 3), 1)]
-        )
-        weighted = scheme.aggregate(
-            [(_share(scheme, secrets, 4), 2), (_share(scheme, secrets, 5), 1)]
-        )
-        parts = [_share(scheme, secrets, 0), agg, _share(scheme, secrets, 1), weighted]
-        assert scheme.verify_contributions(parts, MESSAGE, public)
-
-    def test_one_forged_share_rejects_bag(self, scheme, keys):
-        public, secrets = keys
-        agg = scheme.aggregate(
-            [(_share(scheme, secrets, 2), 1), (_share(scheme, secrets, 3), 1)]
-        )
-        forged = SignatureShare(signer=1, value=_share(scheme, secrets, 1).value * 3)
-        assert not scheme.verify_contributions(
-            [_share(scheme, secrets, 0), agg, forged], MESSAGE, public
-        )
-
-    def test_one_corrupted_aggregate_rejects_bag(self, scheme, keys):
-        public, secrets = keys
-        agg = scheme.aggregate(
-            [(_share(scheme, secrets, 2), 1), (_share(scheme, secrets, 3), 1)]
-        )
-        corrupted = AggregateSignature(
-            value=agg.value * 2, multiplicities=agg.multiplicities
-        )
-        assert not scheme.verify_contributions(
-            [_share(scheme, secrets, 0), corrupted], MESSAGE, public
-        )
-
-    def test_unknown_signer_rejects(self, scheme, keys):
-        public, secrets = keys
-        stranger = scheme.keygen(999)
-        share = scheme.sign(stranger.secret_key, MESSAGE, 42)
-        assert not scheme.verify_contributions(
-            [_share(scheme, secrets, 0), share], MESSAGE, public
-        )
-
-    def test_wrong_message_rejects(self, scheme, keys):
-        public, secrets = keys
-        parts = [_share(scheme, secrets, 0), _share(scheme, secrets, 1)]
-        assert not scheme.verify_contributions(parts, b"some other payload", public)
-
-    def test_non_contribution_rejects(self, scheme, keys):
-        public, secrets = keys
-        assert not scheme.verify_contributions(
-            [_share(scheme, secrets, 0), object()], MESSAGE, public
-        )
-
-    def test_agrees_with_individual_verification(self, scheme, keys):
-        # The RLC shortcut must never accept a bag that per-part checks
-        # reject, nor reject one they accept.
-        public, secrets = keys
-        good = [
-            _share(scheme, secrets, 0),
-            scheme.aggregate(
-                [(_share(scheme, secrets, 1), 1), (_share(scheme, secrets, 2), 1)]
-            ),
-        ]
-        individually = all(
-            scheme.verify_share(p, MESSAGE, public[p.signer])
-            if isinstance(p, SignatureShare)
-            else scheme.verify_aggregate(p, MESSAGE, public)
-            for p in good
-        )
-        assert scheme.verify_contributions(good, MESSAGE, public) == individually
-
-    def test_committee_wrapper(self, scheme, keys):
-        scheme_local = get_scheme("bls", params=TOY_PARAMS)
-        committee = Committee(scheme_local, size=4, seed=11)
-        shares = [committee.sign(pid, MESSAGE) for pid in range(3)]
-        agg = scheme_local.aggregate([(shares[2], 1)])
-        assert committee.verify_contributions([shares[0], shares[1], agg], MESSAGE)
 
 
 class TestTrustAggregate:

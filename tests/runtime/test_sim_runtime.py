@@ -119,3 +119,9 @@ def test_multicast_through_runtime():
     sender.runtime.multicast(0, [1, 2, 3], "fan-out")
     sim.run()
     assert all(r.received for r in receivers)
+
+
+def test_runtime_surface_is_the_five_verbs():
+    """now, send/multicast, set_timer/call_at, spawn — and registration."""
+    assert Runtime.__abstractmethods__ == {"now", "send", "register", "set_timer", "call_at"}
+    assert not hasattr(Runtime, "offload")

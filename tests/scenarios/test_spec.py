@@ -145,6 +145,15 @@ class TestRoundTrips:
                                                          "mend_at": 2.0}]}}
             )
 
+    @pytest.mark.parametrize(
+        "removed", ["batch_verification", "verification_offload", "wait_for_all_votes"]
+    )
+    def test_removed_knobs_rejected_by_name(self, removed):
+        with pytest.raises(ValueError, match=f"unknown scenario keys.*{removed}"):
+            ScenarioSpec.from_dict({"name": "x", removed: True})
+        with pytest.raises(ValueError, match=f"unknown scheme param '{removed}'"):
+            ScenarioSpec(name="x", scheme_params={removed: True})
+
     def test_file_round_trip(self, tmp_path):
         spec = self.make_spec()
         json_path = tmp_path / "spec.json"
