@@ -61,6 +61,7 @@ replicas over worker subprocesses instead of one event loop.
 
 from __future__ import annotations
 
+import gc
 import json
 import statistics
 import sys
@@ -133,6 +134,10 @@ def run_cell(
         target_blocks=target_blocks,
         fast_path=fast_path,
     )
+    # The previous cell's torn-down cluster is cyclic garbage: collect it
+    # now, not in the middle of this cell's window (an n=200 cluster's
+    # worth landing in a 0.1 s n=50 window halves its blocks/s).
+    gc.collect()
     result = cluster.run()
     metrics = result.metrics
     window = metrics.duration or 1e-9

@@ -15,7 +15,7 @@ and the committee size; it never touches sockets itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, KeysView, List, Optional, Set
 
 from repro.attacks.byzantine import corrupt_replica
 from repro.chaos.plan import ChaosPlan
@@ -57,6 +57,11 @@ class ChaosDriver:
     def blocked(self, dst: int) -> bool:
         """Whether the outbound link to ``dst`` is partition-suppressed."""
         return dst in self._blocked_links
+
+    @property
+    def blocked_links(self) -> KeysView[int]:
+        """Every peer whose outbound link is currently suppressed."""
+        return self._blocked_links.keys()
 
     # -- scheduled faults --------------------------------------------------------
     def arm(self) -> None:

@@ -17,6 +17,7 @@ offered-load sweep plots them as the saturation signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.simnet.metrics import MetricsCollector
@@ -27,7 +28,7 @@ __all__ = ["ADMIT_STATES", "Request", "Mempool"]
 ADMIT_STATES = ("admitted", "duplicate", "dropped", "deferred")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """A single client request.
 
@@ -42,6 +43,31 @@ class Request:
     submitted_at: float
     size_bytes: int
     client_id: int = 0
+
+
+@lru_cache(maxsize=1, typed=True)
+def _bulk_requests(
+    first: int, cursor: int, count: int, time: float, size_bytes: int, clients: int
+) -> Tuple[Request, ...]:
+    """The requests of one :meth:`Mempool.submit_many` call.
+
+    They are a pure function of the arguments and immutable, so the n
+    replicated pools of one process, all preloading the same workload
+    into the same fresh state, share one tuple instead of building n
+    copies (10^5 records each at benchmark volumes).  Only the latest
+    batch is kept; ``typed`` keeps a ``time`` of ``0`` and ``0.0`` apart.
+    """
+    return tuple(
+        [
+            Request(
+                request_id=first + index,
+                submitted_at=time,
+                size_bytes=size_bytes,
+                client_id=(cursor + index) % clients,
+            )
+            for index in range(count)
+        ]
+    )
 
 
 class Mempool:
@@ -128,20 +154,11 @@ class Mempool:
         clients = max(num_clients, 1)
         first = self._next_id
         cursor = self._rr_cursor
-        batch = [
-            Request(
-                request_id=first + index,
-                submitted_at=time,
-                size_bytes=size_bytes,
-                client_id=(cursor + index) % clients,
-            )
-            for index in range(count)
-        ]
+        batch = _bulk_requests(first, cursor, count, time, size_bytes, clients)
         self._next_id = first + count
         self._rr_cursor = (cursor + count) % clients
         self._pending.extend(batch)
-        for request in batch:
-            self._requests[request.request_id] = request
+        self._requests.update(zip(range(first, first + count), batch))
         return count
 
     def admit(

@@ -65,6 +65,7 @@ class BlsMultiSig(MultiSignatureScheme):
         self._pairing_cache: Dict[Tuple[bytes, bytes], Fp2] = {}
         self._weighted_key_cache: Dict[Tuple[Tuple[bytes, int], ...], Point] = {}
         self._aggregate_cache: Dict[Tuple[bytes, Tuple[Tuple[bytes, int], ...], bytes], bool] = {}
+        self._key_bytes_cache: Dict[int, Tuple[Point, bytes]] = {}
 
     # -- key management ----------------------------------------------------
     def keygen(self, seed: int) -> KeyPair:
@@ -93,6 +94,21 @@ class BlsMultiSig(MultiSignatureScheme):
                 self._pairing_cache.clear()
             self._pairing_cache[key] = cached
         return cached
+
+    def _key_bytes(self, key: Point) -> bytes:
+        """Memoised ``key.to_bytes()`` for long-lived public keys.
+
+        The memo keys above are built from every signer's encoded key on
+        each call, hits included.  Keyed on identity — hashing a point
+        costs as much as encoding it — with the point pinned in the entry
+        so its id cannot be recycled while the entry lives.
+        """
+        entry = self._key_bytes_cache.get(id(key))
+        if entry is None:
+            if len(self._key_bytes_cache) >= self.PAIRING_CACHE_MAX:
+                self._key_bytes_cache.clear()
+            entry = self._key_bytes_cache[id(key)] = (key, key.to_bytes())
+        return entry[1]
 
     def sign(self, secret_key: int, message: bytes, signer: int) -> SignatureShare:
         point = self._hash_message(message) * secret_key
@@ -162,7 +178,7 @@ class BlsMultiSig(MultiSignatureScheme):
             key = public_keys.get(signer)
             if mult <= 0 or key is None:
                 return None
-            entries.append((key.to_bytes(), mult))
+            entries.append((self._key_bytes(key), mult))
         weight_key = tuple(entries)
         weighted = self._weighted_key_cache.get(weight_key)
         if weighted is None:
@@ -227,7 +243,7 @@ class BlsMultiSig(MultiSignatureScheme):
             key = public_keys.get(signer)
             if mult <= 0 or key is None:
                 return None
-            entries.append((key.to_bytes(), mult))
+            entries.append((self._key_bytes(key), mult))
         return (aggregate.value.to_bytes(), tuple(entries), message)
 
     def trust_aggregate(

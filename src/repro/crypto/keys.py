@@ -9,6 +9,7 @@ multi-signature backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Dict, Iterator, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,6 +47,11 @@ class Committee:
         self._key_pairs: Dict[int, KeyPair] = {
             process_id: scheme.keygen(seed * 1_000_003 + process_id) for process_id in range(size)
         }
+        # Membership is fixed, so the registry every verification reads is
+        # built once and handed out read-only.
+        self._public_keys: Mapping[int, Any] = MappingProxyType(
+            {pid: pair.public_key for pid, pair in self._key_pairs.items()}
+        )
 
     # -- basic accessors ---------------------------------------------------
     @property
@@ -72,8 +78,8 @@ class Committee:
         return self._key_pairs[process_id].public_key
 
     def public_keys(self) -> Mapping[int, Any]:
-        """The full ``process id -> public key`` registry."""
-        return {pid: pair.public_key for pid, pair in self._key_pairs.items()}
+        """The full ``process id -> public key`` registry (read-only)."""
+        return self._public_keys
 
     # -- convenience wrappers ----------------------------------------------
     def sign(self, process_id: int, message: bytes):

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Set, Tuple, Union
 
 __all__ = [
     "SignatureShare",
@@ -63,6 +63,20 @@ class AggregateSignature:
     def signers(self) -> frozenset[int]:
         """The set of signers with non-zero multiplicity."""
         return frozenset(s for s, m in self.multiplicities.items() if m > 0)
+
+    @cached_property
+    def claim(self) -> Tuple[Tuple[int, ...], str]:
+        """The whole multiplicity map in canonical, hashable form.
+
+        ``(ids, entries)``: every id the map names, ascending, and the
+        sorted ``(id, multiplicity)`` pairs spelled out as a string —
+        which, unlike a tuple, remembers its hash, so every replica of a
+        process re-checking the same aggregate object pays the
+        canonicalisation once.  Kept compact (a byte or two per digit):
+        committed QCs live as long as their blocks.
+        """
+        entries = sorted(self.multiplicities.items())
+        return tuple(signer for signer, _ in entries), repr(entries)
 
     def multiplicity(self, signer: int) -> int:
         return self.multiplicities.get(signer, 0)
@@ -196,9 +210,8 @@ class MultiSignatureScheme(ABC):
         Called by a collector that just *built* the aggregate from
         individually verified contributions — by linearity the sum
         verifies, so a later :meth:`verify_aggregate` of the same value
-        can be answered from a cache instead of fresh pairings.  Backends
-        without a verification cache (the hash schemes, where verification
-        is cheap) ignore it.
+        can be answered from a cache instead of a fresh check.  Backends
+        without a verification cache ignore it.
         """
 
 
@@ -245,9 +258,16 @@ class HashSigMultiSig(MultiSignatureScheme):
 
     _MODULUS = 1 << 128
 
+    #: Upper bound on memoised aggregate verifications; cleared when full.
+    #: The memo serves the replicas of one process re-checking the current
+    #: few blocks' aggregates, so it is kept small: an entry pins a whole
+    #: multiplicity map.
+    AGGREGATE_CACHE_MAX = 256
+
     def __init__(self, domain: bytes = b"iniva-hashsig") -> None:
         self._domain = domain
         self._share_cache: Dict[Tuple[bytes, bytes], int] = {}
+        self._aggregate_cache: Set[Tuple[Any, ...]] = set()
 
     # -- key management ----------------------------------------------------
     def keygen(self, seed: int) -> "KeyPair":
@@ -296,6 +316,46 @@ class HashSigMultiSig(MultiSignatureScheme):
             multiplicities=multiplicities,
         )
 
+    def _aggregate_key(
+        self,
+        aggregate: AggregateSignature,
+        message: bytes,
+        public_keys: Mapping[int, Any],
+    ) -> Tuple[Any, ...]:
+        """Memo key of one aggregate verification: everything it reads.
+
+        The message, the accumulator, the whole multiplicity map and the
+        key each named signer is bound to (``None`` for a stranger) — so
+        a forged value under honest multiplicities, another message or
+        another committee's keys can never hit a verified entry.
+        """
+        ids, entries = aggregate.claim
+        return (message, aggregate.value.accumulator, entries, tuple(map(public_keys.get, ids)))
+
+    def _remember_verified(self, cache_key: Tuple[Any, ...]) -> None:
+        if len(self._aggregate_cache) >= self.AGGREGATE_CACHE_MAX:
+            self._aggregate_cache.clear()
+        self._aggregate_cache.add(cache_key)
+
+    def trust_aggregate(
+        self,
+        aggregate: AggregateSignature,
+        message: bytes,
+        public_keys: Mapping[int, Any],
+    ) -> None:
+        """Seed the verified-aggregate memo with a collector-built value.
+
+        The collector verified every contribution before folding it in,
+        so by linearity the sum verifies.  Malformed claims (non-positive
+        multiplicity, unknown signer) are never seeded.
+        """
+        if not isinstance(aggregate.value, _HashSigAggregateValue):
+            return
+        for signer, mult in aggregate.multiplicities.items():
+            if mult <= 0 or signer not in public_keys:
+                return
+        self._remember_verified(self._aggregate_key(aggregate, message, public_keys))
+
     def verify_aggregate(
         self,
         aggregate: AggregateSignature,
@@ -305,12 +365,23 @@ class HashSigMultiSig(MultiSignatureScheme):
         value = aggregate.value
         if not isinstance(value, _HashSigAggregateValue):
             return False
+        # Verified-result memo, successes only: every replica of a process
+        # checks the QC embedded in a proposal, and each check recomputes
+        # every signer's share value — n² per block for what is a pure
+        # function of the key.  A failed check is never recorded, so it
+        # can never be served as a success.
+        cache_key = self._aggregate_key(aggregate, message, public_keys)
+        if cache_key in self._aggregate_cache:
+            return True
         expected = 0
         for signer, mult in aggregate.multiplicities.items():
             if mult <= 0 or signer not in public_keys:
                 return False
             expected += mult * self._share_value(public_keys[signer], message)
-        return expected % self._MODULUS == value.accumulator
+        if expected % self._MODULUS != value.accumulator:
+            return False
+        self._remember_verified(cache_key)
+        return True
 
 
 _SCHEME_REGISTRY: Dict[str, type] = {}

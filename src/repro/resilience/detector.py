@@ -4,16 +4,20 @@ The detector keeps, per peer, a sliding window of observed heartbeat
 inter-arrival times and turns "how long since the last heartbeat" into a
 *suspicion level* ``phi = -log10 P(interval > elapsed)`` under a normal
 model of the window (Hayashibara et al., the detector Cassandra and Akka
-ship).  Crossing ``threshold`` raises a suspicion, falling back below it
-clears one; every raise/clear pair is recorded on a timeline so a run
-can report exactly when each peer was considered down — which is how the
-live runtime's ``RunResult.resilience`` section shows a crashed
-replica's down window.
+ship).  The window's sum and sum of squares are kept running, so ``phi``
+costs the same whatever the window holds.  Crossing ``threshold`` raises
+a suspicion, falling back below it clears one; every raise/clear pair is
+recorded on a timeline so a run can report exactly when each peer was
+considered down — which is how the live runtime's
+``RunResult.resilience`` section shows a crashed replica's down window.
 
 The detector is pure bookkeeping (no tasks, no clocks of its own): the
 owner feeds it ``heartbeat(peer, now)`` on every inbound frame and polls
 ``evaluate(now)`` periodically.  That keeps it runtime-agnostic and
-directly unit-testable with synthetic timelines.
+directly unit-testable with synthetic timelines.  Only peers with a
+running silence clock are watched: an owner that learns a peer's
+liveness some other way (the fabric, for replicas in its own process)
+calls ``release`` and the peer costs nothing until its next heartbeat.
 """
 
 from __future__ import annotations
@@ -23,6 +27,36 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 __all__ = ["PhiAccrualDetector", "Suspicion"]
+
+
+class _Arrivals:
+    """One peer's inter-arrival window with its running Σx and Σx²."""
+
+    __slots__ = ("samples", "total", "total_sq", "evicted")
+
+    def __init__(self, window: int) -> None:
+        self.samples: Deque[float] = deque(maxlen=window)
+        self.total = 0.0
+        self.total_sq = 0.0
+        self.evicted = 0  # evictions since the sums were last taken exactly
+
+    def add(self, interval: float) -> None:
+        samples = self.samples
+        if len(samples) == samples.maxlen:
+            oldest = samples[0]
+            self.total -= oldest
+            self.total_sq -= oldest * oldest
+            self.evicted += 1
+        samples.append(interval)
+        self.total += interval
+        self.total_sq += interval * interval
+        if self.evicted == samples.maxlen:
+            # Subtracting evicted samples leaves rounding residue behind;
+            # once per full turn of the window the sums are retaken, so
+            # the residue never outlives the samples that caused it.
+            self.total = math.fsum(samples)
+            self.total_sq = math.fsum(s * s for s in samples)
+            self.evicted = 0
 
 
 class Suspicion:
@@ -82,7 +116,7 @@ class PhiAccrualDetector:
         self.min_std = min_std
         self.bootstrap_interval = bootstrap_interval
         self._last_seen: Dict[int, float] = {}
-        self._intervals: Dict[int, Deque[float]] = {}
+        self._arrivals: Dict[int, _Arrivals] = {}
         self._active: Dict[int, Suspicion] = {}
         self.timeline: List[Suspicion] = []
 
@@ -91,8 +125,25 @@ class PhiAccrualDetector:
         """Record any sign of life from ``peer`` at time ``now``."""
         last = self._last_seen.get(peer)
         if last is not None and now > last:
-            self._intervals.setdefault(peer, deque(maxlen=self.window)).append(now - last)
+            arrivals = self._arrivals.get(peer)
+            if arrivals is None:
+                arrivals = self._arrivals[peer] = _Arrivals(self.window)
+            arrivals.add(now - last)
         self._last_seen[peer] = now
+
+    def release(self, peer: int, now: float) -> Optional[Suspicion]:
+        """Stop watching ``peer``: the owner knows it alive by other means.
+
+        Clears an active suspicion at ``now`` (returned, as ``evaluate``
+        would have) and forgets the peer's clock and window, so it accrues
+        nothing until the next ``heartbeat`` starts a fresh one.
+        """
+        self._last_seen.pop(peer, None)
+        self._arrivals.pop(peer, None)
+        active = self._active.pop(peer, None)
+        if active is not None:
+            active.cleared_at = now
+        return active
 
     # -- suspicion -----------------------------------------------------------
     def phi(self, peer: int, now: float) -> float:
@@ -103,10 +154,11 @@ class PhiAccrualDetector:
         elapsed = now - last
         if elapsed <= 0:
             return 0.0
-        samples = self._intervals.get(peer)
-        if samples:
-            mean = sum(samples) / len(samples)
-            variance = sum((s - mean) ** 2 for s in samples) / len(samples)
+        arrivals = self._arrivals.get(peer)
+        if arrivals is not None:
+            count = len(arrivals.samples)
+            mean = arrivals.total / count
+            variance = max(arrivals.total_sq / count - mean * mean, 0.0)
             std = max(math.sqrt(variance), self.min_std, mean * 0.1)
         else:
             mean = self.bootstrap_interval
@@ -117,10 +169,11 @@ class PhiAccrualDetector:
         return -math.log10(max(survival, 1e-300))
 
     def evaluate(self, now: float) -> List[Suspicion]:
-        """Update every peer's raised/cleared state; returns transitions."""
+        """Update every watched peer's raised/cleared state; returns transitions."""
         transitions: List[Suspicion] = []
-        peers = set(self._last_seen) | set(self._active)
-        for peer in sorted(peers):
+        # A suspicion is only ever raised on a watched peer and ``release``
+        # drops both, so the silence clocks cover the active set.
+        for peer in sorted(self._last_seen):
             level = self.phi(peer, now)
             active = self._active.get(peer)
             if level >= self.threshold and active is None:

@@ -32,10 +32,13 @@ carry a single worker-level heartbeat whose receipt touches every
 replica the remote worker hosts — so per-replica phi-accrual suspicion
 timelines (what the recovery telemetry and tests pin) survive the
 multiplexing without per-replica heartbeat traffic.  Colocated liveness
-is direct observation: the fabric's maintenance tick touches every
-non-crashed local pair (unless a chaos partition blocks the directed
-link), so a scheduled in-process crash still raises — and its recovery
-clears — suspicions exactly as it did with per-replica sessions.
+is local knowledge, so a healthy same-worker pair costs nothing: the
+maintenance tick makes one pass over the hosted replicas, and only a
+*silent* pair — the peer is crashed, or a chaos partition blocks the
+directed link — enters the observer's detector, its silence clock
+started at the last tick the pair was healthy.  A scheduled in-process
+crash therefore still raises — and its recovery, a sign of life, clears
+— suspicions exactly as it did with per-replica sessions.
 
 Client connections are per worker too: an open-loop swarm dials each
 *worker*, and the fabric fans every ``ClientRequest`` to all hosted
@@ -50,7 +53,8 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.clients.messages import ClientHello, ClientRequest
 from repro.crypto.params import TOY_PARAMS
@@ -74,6 +78,8 @@ _READ_LIMIT = 16 * 1024 * 1024
 
 #: Most messages flushed as one wire envelope by a worker-pair session.
 _MAX_WIRE_BATCH = 64
+
+_NO_PEERS: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,10 @@ class WorkerFabric:
         self._last_beat: Dict[int, float] = {}  # loop-time of last beat per link
         self._last_observed: Dict[int, float] = {}  # loop-time of last worker vouch
         self._heartbeat_seq = 0
+        # Colocated silence tracking: observer pid -> hosted peers its
+        # detector is accruing on, and the node-clock time of the last tick.
+        self._silent: Dict[int, Set[int]] = {}
+        self._ticked_at: Optional[float] = None
         # -- telemetry --------------------------------------------------------
         self.connections_accepted = 0
         self.fast_path_messages = 0  # colocated deliveries that skipped the wire
@@ -415,6 +425,8 @@ class WorkerFabric:
 
     def _observe_worker(self, remote_worker: int) -> None:
         """Fan a worker heartbeat out to per-replica detector observations."""
+        if remote_worker == self.worker:
+            return  # a loopback link (fast path off): the tick watches colocated peers
         try:
             vouched = self.placement.pids_of(remote_worker)
         except IndexError:
@@ -483,34 +495,14 @@ class WorkerFabric:
             self._tasks.append(self._maintenance_task)
 
     async def _maintenance(self) -> None:
-        """Periodic tick: colocated observation, suspicion evaluation, and
-        worker-level heartbeats on idle cross-worker links."""
+        """Periodic tick: colocated silence tracking, suspicion evaluation,
+        and worker-level heartbeats on idle cross-worker links."""
         res = self.resilience
         tick = res.heartbeat_interval / 2
         while not self._stopping:
             await asyncio.sleep(tick)
-            local = list(self.nodes.values())
-            any_alive = False
-            for observer in local:
-                if observer.replica.crashed:
-                    continue  # a down replica neither beats nor observes
-                any_alive = True
-                now = observer.now
-                for peer in local:
-                    # Colocated direct observation: an alive same-worker
-                    # peer is *seen*, unless a chaos partition blocks the
-                    # directed link (live partitions must still raise
-                    # suspicion like they did over loopback TCP).
-                    if (
-                        peer.pid == observer.pid
-                        or peer.replica.crashed
-                        or observer.chaos.blocked(peer.pid)
-                    ):
-                        continue
-                    observer.detector.heartbeat(peer.pid, now)
-                observer.note_suspicions(observer.detector.evaluate(now))
-            if not any_alive:
-                continue
+            if not self._watch_hosted(tick):
+                continue  # a down replica neither beats nor observes
             loop_now = self.loop.time()
             for target, session in self.sessions.items():
                 if not session.connected:
@@ -523,6 +515,52 @@ class WorkerFabric:
                 session.send_control(Heartbeat(self.worker, self._heartbeat_seq))
                 self._last_beat[target] = loop_now
                 self.heartbeats_sent += 1
+
+    def _watch_hosted(self, tick: float) -> bool:
+        """One pass over the hosted replicas; returns whether any is alive.
+
+        Only a *silent* (observer, peer) pair is fed to the observer's
+        detector: the peer is crashed, or a chaos partition blocks the
+        observer's link to it (live partitions must still raise suspicion
+        like they did over loopback TCP).  Its silence clock starts at the
+        last tick the pair was healthy; once the peer recovers or the
+        partition heals the pair is released again, which clears the
+        suspicion.  Healthy pairs are never visited, so a fault-free tick
+        is O(hosted replicas).
+        """
+        nodes = self.nodes
+        crashed = [pid for pid, node in nodes.items() if node.replica.crashed]
+        healthy_at = self._ticked_at
+        any_alive = False
+        for pid, observer in nodes.items():
+            if observer.replica.crashed:
+                continue
+            any_alive = True
+            now = observer.now
+            detector = observer.detector
+            blocked = observer.chaos.blocked_links
+            was_silent = self._silent.pop(pid, _NO_PEERS)
+            cleared: List[Any] = []
+            if crashed or blocked or was_silent:
+                silent = {peer for peer in chain(crashed, blocked) if peer in nodes}
+                seen_at = now if healthy_at is None else healthy_at
+                for peer in silent - was_silent:
+                    # What direct observation had recorded up to here: the
+                    # peer seen on the last two ticks, one tick apart.
+                    detector.heartbeat(peer, seen_at - tick)
+                    detector.heartbeat(peer, seen_at)
+                for peer in was_silent - silent:
+                    suspicion = detector.release(peer, now)
+                    if suspicion is not None:
+                        cleared.append(suspicion)
+                if silent:
+                    self._silent[pid] = silent
+            transitions = cleared + detector.evaluate(now)
+            if transitions:
+                observer.note_suspicions(transitions)
+        if any_alive:
+            self._ticked_at = now
+        return any_alive
 
     # -- lifecycle ---------------------------------------------------------------
     async def stop(self) -> None:

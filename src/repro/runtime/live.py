@@ -62,9 +62,10 @@ envelopes with cumulative acks, bounded resend buffers and jittered
 reconnect; a phi-accrual failure detector per replica builds suspicion
 timelines from traffic observations (cross-worker frames vouch for their
 ``src`` replica, idle links carry worker-level heartbeats, colocated
-replicas observe each other directly); recovered replicas catch up on
-missed commits through the ``SyncRequest``/``SyncResponse`` protocol;
-``--procs`` workers run under a restart-capable
+replicas are watched only while crashed or partitioned away); recovered
+replicas catch up on missed commits through the
+``SyncRequest``/``SyncResponse`` protocol; ``--procs`` workers run under
+a restart-capable
 :class:`~repro.resilience.supervisor.WorkerSupervisor` and a quiescence
 watchdog (``resilience.quiesce_after``) ends a run that has stopped
 committing.  Everything lands in ``RunResult.resilience``.
@@ -350,8 +351,8 @@ class LiveNode:
         self._preloaded = False
         # Resilience layer: phi-accrual failure detection per replica.
         # The fabric feeds it — cross-worker traffic and heartbeats vouch
-        # for their source replica; colocated peers are observed directly
-        # on the maintenance tick.
+        # for their source replica; a colocated peer enters it only while
+        # crashed or partitioned away (see ``WorkerFabric._watch_hosted``).
         self.resilience = compiled.spec.resilience
         self.detector = PhiAccrualDetector(
             threshold=self.resilience.phi_threshold,
@@ -433,8 +434,10 @@ class LiveNode:
             # drop, not a receipt — and a down replica observes nothing.
             self.counters["messages_dropped"] += 1
             return
-        # Any delivered frame is a liveness observation for its sender.
-        self.detector.heartbeat(src, self.now)
+        # A frame from another worker is a liveness observation for its
+        # sender; hosted peers are the fabric's maintenance tick's to watch.
+        if src not in self.fabric.nodes:
+            self.detector.heartbeat(src, self.now)
         self.counters["messages_received"] += 1
         if not self._stopping:
             self.replica._deliver(src, message)

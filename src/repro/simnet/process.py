@@ -192,9 +192,10 @@ class Process:
         """
         if seconds <= 0:
             return
-        start = max(self.runtime.now, self._cpu_available_at)
-        self._cpu_available_at = start + seconds
         self.busy_time += seconds
+        if self.runtime.models_cpu:
+            start = max(self.runtime.now, self._cpu_available_at)
+            self._cpu_available_at = start + seconds
 
     def cpu_utilisation(self, elapsed: float) -> float:
         """Fraction of wall-clock (virtual) time this process was busy."""

@@ -68,7 +68,8 @@ class TestTrustAggregate:
         pair = scheme.keygen(1)
         share = scheme.sign(pair.secret_key, MESSAGE, 1)
         agg = scheme.aggregate([(share, 1)])
-        # Base-class default: silently ignored, verification still works.
+        # Seeds hashsig's own memo (see test_hashsig_memo.py); either way
+        # verification still works.
         scheme.trust_aggregate(agg, MESSAGE, {1: pair.public_key})
         assert scheme.verify_aggregate(agg, MESSAGE, {1: pair.public_key})
 
