@@ -7,7 +7,7 @@ symmetric Tate pairing from :mod:`repro.crypto.pairing`:
 * public key is ``PK = sk * G``;
 * a signature on message ``m`` is ``sigma = sk * H(m)`` where ``H`` hashes
   into the prime-order subgroup;
-* verification checks ``e(sigma, G) == e(H(m), PK)``.
+* verification checks ``e(G, sigma) == e(H(m), PK)``.
 
 Aggregation of signatures on the *same* message is point addition; a share
 included with multiplicity ``k`` is simply added ``k`` times, and the
@@ -20,11 +20,16 @@ from an aggregate — is the k-element aggregate extraction assumption shown
 equivalent to Diffie-Hellman by Coron and Naccache (paper reference [33]).
 
 Performance notes: message hashing is memoised module-wide in
-:func:`repro.crypto.curve.hash_to_point`; pairing evaluations are memoised
-per scheme instance (a replica re-verifying the share another replica
-already checked pays a dict lookup, not two Miller loops); and
+:func:`repro.crypto.curve.hash_to_point`; every verification — a share, an
+aggregate, a batch — is one :func:`repro.crypto.pairing.tate_check`
+equation (one fused Miller loop over the cached ladders of ``G`` and
+``H(m)``, one final exponentiation), and no lone pairing value is ever
+computed or memoised; verified *aggregates* are memoised per scheme
+instance, so a replica re-checking the QC another replica already checked
+pays a dict lookup; weighted sums of shares and of public keys run on one
+Jacobian accumulator (:func:`repro.crypto.curve.weighted_sum`); and
 :meth:`BlsMultiSig.verify_batch` checks ``k`` shares on one message with a
-random-linear-combination equation costing two pairings instead of ``2k``.
+random-linear-combination equation costing one check instead of ``k``.
 """
 
 from __future__ import annotations
@@ -32,8 +37,13 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.crypto.curve import Point, generator, hash_to_point, multi_scalar_mult
-from repro.crypto.field import Fp2
+from repro.crypto.curve import (
+    Point,
+    generator,
+    hash_to_point,
+    multi_scalar_mult,
+    weighted_sum,
+)
 from repro.crypto.keys import KeyPair
 from repro.crypto.multisig import (
     AggregateSignature,
@@ -44,7 +54,7 @@ from repro.crypto.multisig import (
     normalize_contributions,
     register_scheme,
 )
-from repro.crypto.pairing import tate_check, tate_pairing
+from repro.crypto.pairing import tate_check
 from repro.crypto.params import DEFAULT_PARAMS, CurveParams
 
 __all__ = ["BlsMultiSig"]
@@ -56,13 +66,13 @@ class BlsMultiSig(MultiSignatureScheme):
 
     name = "bls"
 
-    #: Upper bound on memoised pairings; the cache is cleared when full.
-    PAIRING_CACHE_MAX = 4096
+    #: Upper bound on each per-instance memo (encoded keys, weighted keys,
+    #: verified aggregates); a memo is cleared when full.
+    MEMO_MAX = 4096
 
     def __init__(self, params: Optional[CurveParams] = None) -> None:
         self.params = params or DEFAULT_PARAMS
         self._generator = generator(self.params)
-        self._pairing_cache: Dict[Tuple[bytes, bytes], Fp2] = {}
         self._weighted_key_cache: Dict[Tuple[Tuple[bytes, int], ...], Point] = {}
         self._aggregate_cache: Dict[Tuple[bytes, Tuple[Tuple[bytes, int], ...], bytes], bool] = {}
         self._key_bytes_cache: Dict[int, Tuple[Point, bytes]] = {}
@@ -78,23 +88,6 @@ class BlsMultiSig(MultiSignatureScheme):
     def _hash_message(self, message: bytes) -> Point:
         return hash_to_point(message, self.params)
 
-    def _pairing(self, left: Point, right: Point) -> Fp2:
-        """Memoised Tate pairing.
-
-        Fixed argument pairs — ``e(sigma, G)`` for a share every replica
-        verifies, ``e(H(m), PK)`` for a fixed message/signer pair — repeat
-        constantly in committee simulations, so the full pairing is cached
-        keyed on the two points' canonical encodings.
-        """
-        key = (left.to_bytes(), right.to_bytes())
-        cached = self._pairing_cache.get(key)
-        if cached is None:
-            cached = tate_pairing(left, right)
-            if len(self._pairing_cache) >= self.PAIRING_CACHE_MAX:
-                self._pairing_cache.clear()
-            self._pairing_cache[key] = cached
-        return cached
-
     def _key_bytes(self, key: Point) -> bytes:
         """Memoised ``key.to_bytes()`` for long-lived public keys.
 
@@ -105,7 +98,7 @@ class BlsMultiSig(MultiSignatureScheme):
         """
         entry = self._key_bytes_cache.get(id(key))
         if entry is None:
-            if len(self._key_bytes_cache) >= self.PAIRING_CACHE_MAX:
+            if len(self._key_bytes_cache) >= self.MEMO_MAX:
                 self._key_bytes_cache.clear()
             entry = self._key_bytes_cache[id(key)] = (key, key.to_bytes())
         return entry[1]
@@ -119,10 +112,11 @@ class BlsMultiSig(MultiSignatureScheme):
             return False
         if not share.value.is_on_curve():
             return False
-        # Generator first: its Miller ladder is cached once, forever.
-        lhs = self._pairing(self._generator, share.value)
-        rhs = self._pairing(self._hash_message(message), public_key)
-        return lhs == rhs
+        # Generator and H(m) first: their Miller ladders are cached (the
+        # generator's forever, the message hash's within the block).
+        return tate_check(
+            self._generator, share.value, self._hash_message(message), public_key
+        )
 
     def verify_batch(
         self,
@@ -130,7 +124,7 @@ class BlsMultiSig(MultiSignatureScheme):
         message: bytes,
         public_keys: Mapping[int, Any],
     ) -> bool:
-        """Verify ``k`` shares on one message with ~2 pairings instead of 2k.
+        """Verify ``k`` shares on one message with one pairing check instead of k.
 
         Uses the standard random-linear-combination check: with
         coefficients ``c_i`` drawn (deterministically, Fiat-Shamir style)
@@ -170,7 +164,7 @@ class BlsMultiSig(MultiSignatureScheme):
 
         Memoised on the (key bytes, multiplicity) multiset — tree shapes
         repeat across blocks, so after warm-up this is a dict hit instead
-        of per-signer scalar multiplications.  ``None`` marks malformed
+        of a sum over the signers.  ``None`` marks malformed
         multiplicities (non-positive weight or unknown signer).
         """
         entries = []
@@ -182,16 +176,20 @@ class BlsMultiSig(MultiSignatureScheme):
         weight_key = tuple(entries)
         weighted = self._weighted_key_cache.get(weight_key)
         if weighted is None:
-            weighted = Point.infinity(self.params)
-            for signer, mult in aggregate.multiplicities.items():
-                weighted = weighted + public_keys[signer] * mult
-            if len(self._weighted_key_cache) >= self.PAIRING_CACHE_MAX:
+            weighted = weighted_sum(
+                (
+                    (public_keys[signer], mult)
+                    for signer, mult in aggregate.multiplicities.items()
+                ),
+                self.params,
+            )
+            if len(self._weighted_key_cache) >= self.MEMO_MAX:
                 self._weighted_key_cache.clear()
             self._weighted_key_cache[weight_key] = weighted
         return weighted
 
     def _rlc_check(self, values, keys, seed: bytes, message: bytes) -> bool:
-        """The random-linear-combination equation (two pairings).
+        """The random-linear-combination equation (one pairing check).
 
         Coefficients are 64-bit (small-exponent test): the forgery
         probability stays at ~2^-64 while the combination's scalar
@@ -208,9 +206,6 @@ class BlsMultiSig(MultiSignatureScheme):
         ]
         combined_sig = multi_scalar_mult(list(zip(values, coeffs)), self.params)
         combined_key = multi_scalar_mult(list(zip(keys, coeffs)), self.params)
-        # Generator and H(m) first: both Miller ladders are cache hits (the
-        # generator's always, the message hash's within the block), and
-        # tate_check reduces the quotient once instead of both sides.
         return tate_check(
             self._generator, combined_sig, self._hash_message(message), combined_key
         )
@@ -219,15 +214,14 @@ class BlsMultiSig(MultiSignatureScheme):
     def aggregate(self, parts: Iterable[Contribution]) -> AggregateSignature:
         parts = normalize_contributions(parts)
         multiplicities = _tally_multiplicities(parts)
-        total = Point.infinity(self.params)
+        terms = []
         for part, weight in parts:
-            value = part.value
-            if not isinstance(value, Point):
+            if not isinstance(part.value, Point):
                 raise TypeError("BLS aggregation requires curve-point signature values")
-            # weight == 1 is the overwhelmingly common case (a 2ND-CHANCE
-            # double-count is the exception): plain addition, no scalar mult.
-            total = total + (value if weight == 1 else value * weight)
-        return AggregateSignature(value=total, multiplicities=multiplicities)
+            terms.append((part.value, weight))
+        return AggregateSignature(
+            value=weighted_sum(terms, self.params), multiplicities=multiplicities
+        )
 
     def _aggregate_key(
         self,
@@ -256,15 +250,15 @@ class BlsMultiSig(MultiSignatureScheme):
 
         The collector verified every contribution before folding it in, so
         by bilinearity the sum verifies; recording that here means the
-        QC's first :meth:`verify_aggregate` is a dict hit instead of two
-        fresh pairings.
+        QC's first :meth:`verify_aggregate` is a dict hit instead of a
+        fresh pairing check.
         """
         if not isinstance(aggregate.value, Point) or not aggregate.multiplicities:
             return
         cache_key = self._aggregate_key(aggregate, message, public_keys)
         if cache_key is None:
             return
-        if len(self._aggregate_cache) >= self.PAIRING_CACHE_MAX:
+        if len(self._aggregate_cache) >= self.MEMO_MAX:
             self._aggregate_cache.clear()
         self._aggregate_cache[cache_key] = True
 
@@ -295,13 +289,13 @@ class BlsMultiSig(MultiSignatureScheme):
             return cached
         # The multiplicity-weighted key sum only depends on the (key,
         # multiplicity) multiset, which repeats across blocks (the tree
-        # shapes are few), so the scalar multiplications are memoised
-        # separately from the pairings.
+        # shapes are few), so the key sum is memoised separately from the
+        # verification result.
         weighted_key = self._weighted_key(aggregate, public_keys)
-        lhs = self._pairing(self._generator, aggregate.value)
-        rhs = self._pairing(self._hash_message(message), weighted_key)
-        result = lhs == rhs
-        if len(self._aggregate_cache) >= self.PAIRING_CACHE_MAX:
+        result = tate_check(
+            self._generator, aggregate.value, self._hash_message(message), weighted_key
+        )
+        if len(self._aggregate_cache) >= self.MEMO_MAX:
             self._aggregate_cache.clear()
         self._aggregate_cache[cache_key] = result
         return result

@@ -6,12 +6,13 @@ the distortion map used inside the pairing).  The same :class:`Point`
 class handles both by storing generic field elements.
 
 Scalar multiplication of ``F_p`` points — the hot path of signing, key
-generation, cofactor clearing and aggregate-key computation — runs on a
-raw-integer Jacobian-coordinate core (no modular inversion per group
-operation) with width-5 wNAF recoding and per-point precomputation
-tables.  The subgroup generator additionally gets a fixed-base windowed
-table so ``G * sk`` degenerates to ~``r_bits/4`` mixed additions with no
-doublings at all.  The schoolbook affine double-and-add survives as
+generation and cofactor clearing — runs on a raw-integer
+Jacobian-coordinate core (no modular inversion per group operation) with
+width-5 wNAF recoding and per-point precomputation tables.  The subgroup
+generator additionally gets a fixed-base windowed table so ``G * sk``
+degenerates to ~``r_bits/4`` mixed additions with no doublings at all.
+Multiplicity-weighted sums of shares and keys (:func:`weighted_sum`) use
+the same core without tables.  The schoolbook affine double-and-add survives as
 :func:`reference_scalar_mult` and remains the semantic reference the
 property tests compare against bit-for-bit.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.crypto.field import Fp, Fp2, cube_root_of_unity
 from repro.crypto.params import CurveParams
@@ -31,6 +32,7 @@ __all__ = [
     "hash_to_point",
     "distortion_map",
     "multi_scalar_mult",
+    "weighted_sum",
     "reference_scalar_mult",
     "clear_hash_cache",
 ]
@@ -91,13 +93,16 @@ def _batch_to_affine(
 ) -> List[Tuple[int, int]]:
     """Convert Jacobian points to affine with a single modular inversion.
 
-    Uses the Montgomery batch-inversion trick; no input may be infinity.
+    Uses the Montgomery batch-inversion trick; no input may be infinity
+    (``Z == 0`` raises :class:`ZeroDivisionError`).
     """
     zs = [pt[2] for pt in points]
     prefix = [1] * (len(zs) + 1)
     for i, z in enumerate(zs):
         prefix[i + 1] = prefix[i] * z % p
-    inv_all = pow(prefix[-1], p - 2, p)
+    if prefix[-1] == 0:
+        raise ZeroDivisionError("cannot normalise the point at infinity")
+    inv_all = pow(prefix[-1], -1, p)
     out: List[Optional[Tuple[int, int]]] = [None] * len(points)
     for i in range(len(zs) - 1, -1, -1):
         z_inv = inv_all * prefix[i] % p
@@ -428,6 +433,31 @@ def multi_scalar_mult(pairs: List[Tuple["Point", int]], params: CurveParams) -> 
                     acc = _jac_add_mixed(*acc, ax, (p - ay) % p, p)
     result = Point._from_jacobian(acc, params)
     return result if extra.is_infinity else result + extra
+
+
+def weighted_sum(pairs: Iterable[Tuple["Point", int]], params: CurveParams) -> "Point":
+    """``sum_i k_i * P_i`` over ``E(F_p)`` for multiplicity-sized ``k_i >= 0``.
+
+    One Jacobian accumulator, binary digits interleaved across all terms:
+    a doubling per bit of the largest weight and a mixed addition per set
+    bit, so unit weights cost one addition each and no doubling at all,
+    and a single inversion normalises the total (affine ``+`` inverts per
+    addition).  No per-point tables — the terms are fresh signature shares
+    with weights of a few bits, where :func:`multi_scalar_mult`'s wNAF
+    tables cost more than the sum.  The result is the canonical affine
+    point, bit-identical to the affine double-and-add sum.
+    """
+    p = params.p
+    terms = [
+        (point.x.value, point.y.value, k) for point, k in pairs if not point.is_infinity
+    ]
+    acc = _JAC_INFINITY
+    for bit in range(max((k.bit_length() for _, _, k in terms), default=0) - 1, -1, -1):
+        acc = _jac_double(*acc, p)
+        for x, y, k in terms:
+            if k >> bit & 1:
+                acc = _jac_add_mixed(*acc, x, y, p)
+    return Point._from_jacobian(acc, params)
 
 
 def _double_and_add(point: Point, scalar: int) -> Point:

@@ -10,17 +10,24 @@ coordinates over raw integers, and every line/vertical evaluation is
 scaled by a factor lying in ``F_p`` (``2YZ^3`` for tangents, ``ZH`` for
 chords, ``Z^2`` for verticals).  Those factors are simply dropped, because
 the final exponentiation ``(p^2 - 1)/r = (p - 1) * cofactor`` maps every
-``F_p`` unit to one — so the *reduced* pairing value is unchanged while
-the loop performs no modular inversion at all.  Numerators and
-denominators are accumulated separately with a single inversion at the
-end, and ``z^(p-1)`` in the final exponentiation is computed as
-``conj(z) / z``, leaving only a cofactor-sized exponent.
+``F_p`` unit to one, so the *reduced* pairing value is unchanged, and
+``z^(p-1)`` is computed as ``conj(z) / z``, leaving only a cofactor-sized
+exponent.
+
+Two entry points share the cached ladders.  :func:`tate_check` decides the
+verification equation ``e(a1, b1) == e(a2, b2)`` and is what the signature
+scheme calls: one accumulator holds the quotient of the two Miller
+functions, divisions become multiplications by conjugates, and the whole
+check costs one inversion and one final exponentiation.
+:func:`tate_pairing` computes a single pairing value, numerator and
+denominator accumulated separately; nothing on the protocol path needs a
+lone value, it is the reference the property tests hold ``tate_check`` to.
 """
 
 from __future__ import annotations
 
 from repro.crypto.curve import Point, distortion_map
-from repro.crypto.field import Fp, Fp2
+from repro.crypto.field import Fp, Fp2, cube_root_of_unity
 from repro.crypto.params import CurveParams
 
 __all__ = ["tate_pairing", "tate_check", "miller_loop"]
@@ -125,6 +132,21 @@ def _build_ladder(xP: int, yP: int, params: CurveParams) -> tuple:
     return tuple(steps)
 
 
+def _ladder(point: Point, params: CurveParams) -> tuple:
+    """The memoised ladder of ``point``, which must lie in ``E(F_p)``."""
+    if not isinstance(point.x, Fp):
+        raise TypeError("the Miller loop expects its first argument in E(F_p)")
+    xP, yP = point.x.value, point.y.value
+    key = (params.p, params.r, xP, yP)
+    steps = _LADDER_CACHE.get(key)
+    if steps is None:
+        steps = _build_ladder(xP, yP, params)
+        if len(_LADDER_CACHE) >= _LADDER_CACHE_MAX:
+            _LADDER_CACHE.clear()
+        _LADDER_CACHE[key] = steps
+    return steps
+
+
 def miller_loop(p_point: Point, q_point: Point, params: CurveParams) -> Fp2:
     """Compute the Miller function ``f_{r,P}(Q)`` up to ``F_p`` factors.
 
@@ -139,16 +161,7 @@ def miller_loop(p_point: Point, q_point: Point, params: CurveParams) -> Fp2:
     p = params.p
     if p_point.is_infinity or q_point.is_infinity:
         return Fp2.one(p)
-    if not isinstance(p_point.x, Fp):
-        raise TypeError("miller_loop expects its first argument in E(F_p)")
-    xP, yP = p_point.x.value, p_point.y.value
-    key = (p, params.r, xP, yP)
-    steps = _LADDER_CACHE.get(key)
-    if steps is None:
-        steps = _build_ladder(xP, yP, params)
-        if len(_LADDER_CACHE) >= _LADDER_CACHE_MAX:
-            _LADDER_CACHE.clear()
-        _LADDER_CACHE[key] = steps
+    steps = _ladder(p_point, params)
 
     qx, qy = q_point.x, q_point.y
     if isinstance(qx, Fp2):
@@ -252,20 +265,60 @@ def tate_pairing(p_point: Point, q_point: Point) -> Fp2:
 
 
 def tate_check(a1: Point, b1: Point, a2: Point, b2: Point) -> bool:
-    """Decide ``e(a1, b1) == e(a2, b2)`` with one final exponentiation.
+    """Decide ``e(a1, b1) == e(a2, b2)`` with one fused Miller loop.
 
-    Verifier's shortcut: the two reduced pairings are equal iff
-    ``(m1/m2)^((p^2-1)/r) == 1`` for the raw Miller values, so instead of
-    reducing both sides we reduce the quotient once.  Using
-    ``x^(p-1) = conj(x)/x``, the quotient's ``p-1`` power needs a single
-    field inversion: ``(conj(m1) m2) / (m1 conj(m2))``.
+    The two reduced pairings are equal iff ``(m1/m2)^((p^2-1)/r) == 1`` for
+    the raw Miller values, so one accumulator walks the ladders of ``a1``
+    and ``a2`` together and holds the quotient: one squaring per bit serves
+    both sides.  Every division — the verticals of side 1, the lines of
+    side 2 — is a multiplication by the conjugate, because ``z * conj(z)``
+    is a norm in ``F_p`` and the final exponentiation kills it; there is no
+    denominator accumulator.
+
+    The accumulator ``f0 + f1*zeta`` lives in the basis ``{1, zeta}`` with
+    ``zeta^2 = -1 - zeta`` and ``conj(zeta) = zeta^2``, where the distorted
+    point ``phi(t, y) = (t*zeta, y)`` makes a line ``A*yq - B*xq + C``
+    evaluate to ``(A*y + C) - (B*t)*zeta`` and a vertical ``B*xq + C`` to
+    ``C + (B*t)*zeta``.  All four points must lie in ``E(F_p)``; a
+    degenerate argument on whose ladder a line vanishes raises
+    :class:`ZeroDivisionError`, as the two :func:`tate_pairing` calls would.
     """
     if a1.is_infinity or b1.is_infinity or a2.is_infinity or b2.is_infinity:
         return tate_pairing(a1, b1) == tate_pairing(a2, b2)
     params = a1.params
     p = params.p
-    m1 = miller_loop(a1, distortion_map(b1), params)
-    m2 = miller_loop(a2, distortion_map(b2), params)
-    quotient = (m1.conjugate() * m2) * (m1 * m2.conjugate()).inverse()
-    reduced = _fp2_pow_unitary(quotient.c0, quotient.c1, params.cofactor, p)
-    return reduced == Fp2.one(p)
+    if not (isinstance(b1.x, Fp) and isinstance(b2.x, Fp)):
+        raise TypeError("tate_check expects its arguments in E(F_p)")
+    t1, y1 = b1.x.value, b1.y.value
+    t2, y2 = b2.x.value, b2.y.value
+    # The four factor shapes below all come from two products:
+    #   (f0 + f1*zeta)(c - e*zeta) = (f0*c + f1*e) + (f1*(c + e) - f0*e)*zeta
+    #   (f0 + f1*zeta)(c + e*zeta) = (f0*c - f1*e) + (f0*e + f1*(c - e))*zeta
+    f0, f1 = 1, 0
+    for (lines1, verts1), (lines2, verts2) in zip(_ladder(a1, params), _ladder(a2, params)):
+        f0, f1 = (f0 - f1) * (f0 + f1) % p, f1 * (2 * f0 - f1) % p
+        for A, B, C in lines1:  # times l1 = c - e*zeta
+            c = A * y1 + C
+            e = B * t1 % p
+            f0, f1 = (f0 * c + f1 * e) % p, (f1 * (c + e) - f0 * e) % p
+        for B, C in verts1:  # times conj(v1) = (C - e) - e*zeta
+            e = B * t1 % p
+            f0, f1 = (f0 * (C - e) + f1 * e) % p, (f1 * C - f0 * e) % p
+        for A, B, C in lines2:  # times conj(l2) = (c + e) + e*zeta
+            c = A * y2 + C
+            e = B * t2 % p
+            f0, f1 = (f0 * (c + e) - f1 * e) % p, (f0 * e + f1 * c) % p
+        for B, C in verts2:  # times v2 = C + e*zeta
+            e = B * t2 % p
+            f0, f1 = (f0 * C - f1 * e) % p, (f0 * e + f1 * (C - e)) % p
+    # f^(p-1) = conj(f)/f = conj(f)^2 / N(f); the norm f0^2 - f0*f1 + f1^2
+    # lies in F_p and is the one inversion of the whole check.
+    norm = (f0 * f0 - f0 * f1 + f1 * f1) % p
+    if norm == 0:
+        raise ZeroDivisionError("a line of the Miller loop vanishes at a pairing argument")
+    g0, g1 = f0 - f1, -f1  # conj(f)
+    inv_norm = pow(norm, -1, p)
+    u0 = (g0 - g1) * (g0 + g1) * inv_norm
+    u1 = g1 * (2 * g0 - g1) * inv_norm
+    zeta = cube_root_of_unity(p)  # back to the {1, i} basis of Fp2
+    return _fp2_pow_unitary(u0 + u1 * zeta.c0, u1 * zeta.c1, params.cofactor, p).is_one()

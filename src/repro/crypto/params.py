@@ -193,9 +193,9 @@ def _find_subgroup_generator(p: int, r: int, h: int) -> tuple[int, int]:
         if x1 == x2 and (y1 + y2) % p == 0:
             return None
         if P == Q:
-            lam = (3 * x1 * x1) * pow(2 * y1, p - 2, p) % p
+            lam = (3 * x1 * x1) * pow(2 * y1, -1, p) % p
         else:
-            lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (lam * lam - x1 - x2) % p
         y3 = (lam * (x1 - x3) - y1) % p
         return (x3, y3)

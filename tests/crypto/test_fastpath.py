@@ -16,7 +16,7 @@ from repro.crypto.curve import (
     hash_to_point,
     reference_scalar_mult,
 )
-from repro.crypto.multisig import SignatureShare
+from repro.crypto.multisig import AggregateSignature, SignatureShare
 from repro.crypto.params import DEFAULT_PARAMS, TOY_PARAMS
 
 G = generator(TOY_PARAMS)
@@ -175,21 +175,49 @@ class TestBatchVerification:
 
 
 @pytest.mark.pairing
-class TestPairingCache:
-    def test_cache_hits_do_not_change_results(self):
-        scheme = BlsMultiSig(TOY_PARAMS)
-        pair = scheme.keygen(5)
-        share = scheme.sign(pair.secret_key, b"cached", 0)
-        first = scheme.verify_share(share, b"cached", pair.public_key)
-        assert scheme._pairing_cache  # populated
-        second = scheme.verify_share(share, b"cached", pair.public_key)
-        assert first and second
+class TestVerificationMemo:
+    """What is memoised once no lone pairing is: verified aggregates only."""
 
-    def test_cache_bounded(self):
+    def test_repeated_verify_share_is_idempotent(self):
         scheme = BlsMultiSig(TOY_PARAMS)
-        scheme.PAIRING_CACHE_MAX = 4
+        pair, other = scheme.keygen(5), scheme.keygen(6)
+        share = scheme.sign(pair.secret_key, b"again", 0)
+        for _ in range(3):
+            assert scheme.verify_share(share, b"again", pair.public_key)
+            assert not scheme.verify_share(share, b"again", other.public_key)
+            assert not scheme.verify_share(share, b"other", pair.public_key)
+        # Share checks leave nothing behind: the aggregate memo is the only
+        # verification memo, and it is keyed on aggregates.
+        assert not scheme._aggregate_cache
+
+    def test_aggregate_memo_bounded(self):
+        scheme = BlsMultiSig(TOY_PARAMS)
+        scheme.MEMO_MAX = 4
         pair = scheme.keygen(5)
+        public = {0: pair.public_key}
         for i in range(6):
-            share = scheme.sign(pair.secret_key, b"m%d" % i, 0)
-            assert scheme.verify_share(share, b"m%d" % i, pair.public_key)
-        assert len(scheme._pairing_cache) <= 4 + 1
+            message = b"m%d" % i
+            aggregate = scheme.aggregate([scheme.sign(pair.secret_key, message, 0)])
+            assert scheme.verify_aggregate(aggregate, message, public)
+            assert len(scheme._aggregate_cache) <= 4
+
+    def test_failure_recorded_only_for_the_forged_key(self):
+        scheme = BlsMultiSig(TOY_PARAMS)
+        pairs = {pid: scheme.keygen(40 + pid) for pid in range(3)}
+        public = {pid: pair.public_key for pid, pair in pairs.items()}
+        message = b"qc"
+        honest = scheme.aggregate(
+            [scheme.sign(pair.secret_key, message, pid) for pid, pair in pairs.items()]
+        )
+        forged = AggregateSignature(
+            value=honest.value + G, multiplicities=dict(honest.multiplicities)
+        )
+        assert not scheme.verify_aggregate(forged, message, public)
+        assert scheme.verify_aggregate(honest, message, public)
+        memo = scheme._aggregate_cache
+        assert memo[scheme._aggregate_key(forged, message, public)] is False
+        assert memo[scheme._aggregate_key(honest, message, public)] is True
+        assert len(memo) == 2
+        # Served from the memo, the outcomes do not change.
+        assert not scheme.verify_aggregate(forged, message, public)
+        assert scheme.verify_aggregate(honest, message, public)

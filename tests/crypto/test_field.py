@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.field import Fp, Fp2, cube_root_of_unity
-from repro.crypto.params import TOY_PARAMS
+from repro.crypto.params import DEFAULT_PARAMS, TOY_PARAMS
 
 P = TOY_PARAMS.p
 
@@ -129,6 +129,37 @@ class TestFp2:
         if x.is_zero():
             return
         assert x * x.inverse() == Fp2.one(P)
+
+
+@pytest.mark.parametrize("p", [TOY_PARAMS.p, DEFAULT_PARAMS.p], ids=["toy128", "ss512"])
+class TestEuclideanInversion:
+    """``pow(x, -1, p)`` replaced Fermat's ``x^(p-2)``: same values, same errors."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_fp_inverse_is_the_fermat_value(self, p, data):
+        a = data.draw(st.integers(min_value=1, max_value=p - 1))
+        assert Fp(a, p).inverse().value == pow(a, p - 2, p)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_fp2_inverse_is_the_fermat_value(self, p, data):
+        coordinate = st.integers(min_value=0, max_value=p - 1)
+        x = Fp2(data.draw(coordinate), data.draw(coordinate), p)
+        if x.is_zero():
+            return
+        inv_norm = pow(x.norm(), p - 2, p)
+        assert x.inverse() == Fp2(x.c0 * inv_norm, -x.c1 * inv_norm, p)
+
+    def test_zero_raises_zero_division_error(self, p):
+        # pow(0, -1, p) itself raises a bare ValueError; callers must not see it.
+        for zero in (Fp(0, p), Fp(p, p), Fp2.zero(p)):
+            with pytest.raises(ZeroDivisionError):
+                zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            Fp(1, p) / Fp(0, p)
+        with pytest.raises(ZeroDivisionError):
+            Fp2.one(p) / Fp2.zero(p)
 
 
 class TestCubeRootOfUnity:
