@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 from repro.clients.arrivals import client_rng, make_arrival
 from repro.clients.messages import ClientHello, ClientReject, ClientReply, ClientRequest
 from repro.clients.stats import LatencyDigest
-from repro.runtime.net import tune_writer
+from repro.runtime.net import read_frame, tune_writer
 
 if TYPE_CHECKING:  # codec imports this package; resolve the cycle lazily
     from repro.runtime.codec import WireCodec
@@ -130,11 +130,8 @@ class _ReplicaLink:
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         while True:
-            header = await reader.readexactly(4)
-            size = int.from_bytes(header, "big")
-            if size > _READ_LIMIT:
-                raise ConnectionError(f"oversized frame ({size} bytes)")
-            self.swarm._on_frame(self.swarm.codec.decode(await reader.readexactly(size)))
+            frame = await read_frame(reader, _READ_LIMIT)
+            self.swarm._on_frame(self.swarm.codec.decode(frame))
 
     async def _write_loop(self, writer: asyncio.StreamWriter) -> None:
         while True:

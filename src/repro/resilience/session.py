@@ -34,11 +34,9 @@ from random import Random
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.resilience.messages import SessionEnvelope, SessionHello
-from repro.runtime.net import tune_writer
+from repro.runtime.net import read_frame, tune_writer
 
 __all__ = ["PeerSession"]
-
-_U32_LEN = 4
 
 
 class PeerSession:
@@ -61,7 +59,10 @@ class PeerSession:
             back up after a break — i.e. on every successful connect
             except the first.  The fabric uses it to put ``reconnect``
             events into the consensus trace.
-        read_limit: Stream reader buffer limit for the ack channel.
+        read_limit: Stream reader buffer limit for the ack channel, and
+            the largest ack frame accepted on it: a larger length header
+            breaks the link (and triggers reconnect) before any of the
+            body is buffered.
     """
 
     def __init__(
@@ -294,10 +295,7 @@ class PeerSession:
 
         try:
             while True:
-                header = await reader.readexactly(_U32_LEN)
-                size = int.from_bytes(header, "big")
-                body = await reader.readexactly(size)
-                message = self.codec.decode(body)
+                message = self.codec.decode(await read_frame(reader, self.read_limit))
                 if isinstance(message, SessionAck) and message.acked > self._acked:
                     self._acked = message.acked
                     for seq in [s for s in self._unacked if s <= self._acked]:

@@ -22,7 +22,8 @@ all three registered backends:
 The first byte of every frame is :data:`WIRE_VERSION`; decoding a frame
 with an unknown version raises :class:`CodecError` so incompatible nodes
 fail loudly instead of mis-parsing.  The length prefix itself (4 bytes,
-big-endian) is applied by :func:`frame` / consumed by the stream reader.
+big-endian) is applied by :meth:`WireCodec.frame` and consumed by
+:func:`repro.runtime.net.read_frame`.
 
 Wire version 2 adds the **batch frame**: a :class:`FrameBatch` carries
 several protocol messages in one length-prefixed frame, so a shaped or
@@ -61,20 +62,55 @@ O(workers²) sessions and the receiving worker can demultiplex to the
 hosted replica.  Route headers are flat like batches and envelopes — a
 ``Routed`` may not contain another ``Routed``.
 
-Implementation notes (hot path)
--------------------------------
+Implementation notes
+--------------------
+**One schema table.**  Sixteen of the tags above are hand-written formats;
+the other twenty are *plain records* — a tag byte, then every dataclass
+field in declaration order, each an ordinary tagged value.  Those are
+declared once, as ``(tag, class)`` rows of :data:`_RECORDS`, and
+everything else about them is derived at import time:
+
+* the exact-type encoder entry and the tag-indexed decoder entry, built
+  by :func:`_record_encoder` / :func:`_record_decoder` from
+  ``dataclasses.fields(cls)``;
+* the subclass fallback (the encoder listing walked with ``isinstance``);
+* :data:`WIRE_MESSAGE_TYPES` (the ``0x20``–``0x2F`` rows).
+
+**Adding a wire message is one dataclass and one row.**  Conversely, a
+record's field order *is* its byte format: reordering fields is a wire
+change and needs a :data:`WIRE_VERSION` bump (a golden-bytes test pins
+every row's v6 bytes).
+
+What stays hand-written, and why — none of these is "tag, then each
+field in order":
+
+* the primitives and packed int sequences (variable-width ints, one
+  ``struct`` call per int array, the precomputed small-int table);
+* ``Point`` — two tags (affine / infinity), coordinates unwrapped from
+  field elements, and the decoder needs the codec's curve parameters;
+* the three flat containers ``Routed``, ``SessionEnvelope`` and
+  ``FrameBatch`` — a raw member count instead of a tagged sequence,
+  and the nesting bans checked on both ends;
+* :class:`PreEncoded` — no tag at all, the bytes are spliced as they are.
+
 The byte format above is stable, but the implementation is built for
 throughput — a proposal frame decodes in tens of microseconds, not
 hundreds:
 
 * **Tag dispatch**: encode looks up an encoder by exact value type
   (``_ENCODERS``), decode indexes a 256-entry table by tag byte
-  (``_DECODERS``) — no linear ``if``/``elif`` walk per value.
+  (``_DECODERS``) — no linear ``if``/``elif`` walk per value.  The
+  generated record codecs dispatch each field inline, so they cost what
+  the hand-unrolled per-record functions they replaced did.
 * **Zero-copy decode**: :meth:`WireCodec.decode` wraps the payload in a
   :class:`memoryview` once and every decoder slices it without copying;
   only terminal ``bytes`` values materialise a copy.  ``decode`` also
   accepts a ``memoryview`` directly, so a frame can be decoded straight
   out of a larger receive buffer.
+* **One error type**: whatever a malformed frame makes a decoder raise
+  (running off the buffer, invalid UTF-8, an unhashable dict key, a
+  constructor rejecting its arguments) leaves :meth:`WireCodec.decode`
+  as :class:`CodecError`, converted once per frame.
 * **Preallocated frame buffer**: :meth:`WireCodec.frame` reserves the
   4-byte length prefix and version byte up front and encodes into that
   single buffer, patching the length in place — one allocation per
@@ -88,8 +124,8 @@ hundreds:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.aggregation.messages import (
     AckMessage,
@@ -140,16 +176,37 @@ __all__ = [
 #: v6: route headers — (src, dst)-addressed messages on worker-pair links.
 WIRE_VERSION = 6
 
-#: Every message type the protocol core sends between replicas.
-WIRE_MESSAGE_TYPES: Tuple[type, ...] = (
-    ProposalMessage,
-    SignatureMessage,
-    AckMessage,
-    SecondChanceMessage,
-    SecondChanceReply,
-    NewViewMessage,
-    SyncRequest,
-    SyncResponse,
+#: The wire schema: one ``(tag, class)`` row per plain record — the tag
+#: byte, then every dataclass field in declaration order.  Encoders,
+#: decoders, subclass fallbacks and :data:`WIRE_MESSAGE_TYPES` are derived
+#: from this table (see the module docstring's implementation notes).
+_RECORDS: Tuple[Tuple[int, type], ...] = (
+    (0x10, SignatureShare),
+    (0x11, AggregateSignature),
+    (0x12, _HashSigAggregateValue),
+    (0x15, QuorumCertificate),
+    (0x16, Block),
+    (0x20, ProposalMessage),
+    (0x21, SignatureMessage),
+    (0x22, AckMessage),
+    (0x23, SecondChanceMessage),
+    (0x24, SecondChanceReply),
+    (0x25, NewViewMessage),
+    (0x26, SyncRequest),
+    (0x27, SyncResponse),
+    (0x30, SessionHello),
+    (0x32, SessionAck),
+    (0x33, Heartbeat),
+    (0x40, ClientHello),
+    (0x41, ClientRequest),
+    (0x42, ClientReply),
+    (0x43, ClientReject),
+)
+
+#: Every message type the protocol core sends between replicas: the
+#: ``0x20``–``0x2F`` rows (session control and client frames never reach it).
+WIRE_MESSAGE_TYPES: Tuple[type, ...] = tuple(
+    cls for tag, cls in _RECORDS if 0x20 <= tag <= 0x2F
 )
 
 
@@ -200,6 +257,8 @@ class PreEncoded:
 
 
 # -- value tags ---------------------------------------------------------------
+# Tags of the hand-written formats only; every plain record's tag lives in
+# its ``_RECORDS`` row above.
 _T_NONE = 0x00
 _T_FALSE = 0x01
 _T_TRUE = 0x02
@@ -211,31 +270,11 @@ _T_SEQ = 0x07
 _T_DICT = 0x08
 _T_SEQ_I32 = 0x09
 _T_SEQ_I64 = 0x0A
-_T_SHARE = 0x10
-_T_AGGREGATE = 0x11
-_T_HASHSIG_ACC = 0x12
 _T_POINT = 0x13
 _T_POINT_INF = 0x14
-_T_QC = 0x15
-_T_BLOCK = 0x16
 _T_BATCH = 0x1F
-_T_PROPOSAL = 0x20
-_T_SIGNATURE_MSG = 0x21
-_T_ACK = 0x22
-_T_SECOND_CHANCE = 0x23
-_T_SECOND_CHANCE_REPLY = 0x24
-_T_NEW_VIEW = 0x25
-_T_SYNC_REQ = 0x26
-_T_SYNC_RESP = 0x27
-_T_SESSION_HELLO = 0x30
 _T_SESSION_ENVELOPE = 0x31
-_T_SESSION_ACK = 0x32
-_T_HEARTBEAT = 0x33
 _T_ROUTED = 0x34
-_T_CLIENT_HELLO = 0x40
-_T_CLIENT_REQUEST = 0x41
-_T_CLIENT_REPLY = 0x42
-_T_CLIENT_REJECT = 0x43
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
@@ -290,8 +329,17 @@ class WireCodec:
             )
         try:
             value, offset = self._read(buf, 1)
+        except CodecError:
+            raise
         except (IndexError, struct.error):
             raise CodecError("truncated frame") from None
+        except Exception as exc:
+            # Corrupt bytes can reach any constructor, hash or text decoder
+            # with a value of the wrong shape (a ``str`` that is not UTF-8,
+            # an unhashable dict key, a record fed the wrong type).  The
+            # frame is what is at fault, so callers see one error type —
+            # converted here, once per frame, not checked per value.
+            raise CodecError(f"malformed frame ({type(exc).__name__}: {exc})") from None
         if offset != len(buf):
             raise CodecError(f"{len(buf) - offset} trailing bytes after message")
         return value
@@ -327,15 +375,13 @@ class WireCodec:
 
     # -- decoding ------------------------------------------------------------
     def _read(self, buf, offset: int) -> Tuple[Any, int]:
-        try:
-            fn = _DECODERS[buf[offset]]
-        except IndexError:
-            raise CodecError("truncated frame") from None
+        # Running off the end of ``buf`` raises IndexError / struct.error,
+        # which :meth:`decode` reports as a truncated frame.
+        fn = _DECODERS[buf[offset]]
         if fn is None:
             raise CodecError(f"unknown wire tag 0x{buf[offset]:02x}")
         return fn(self, buf, offset + 1)
 
-    # -- helpers -------------------------------------------------------------
     def _require_params(self) -> CurveParams:
         if self._params is None:
             raise CodecError(
@@ -343,26 +389,11 @@ class WireCodec:
             )
         return self._params
 
-    @staticmethod
-    def _need(buf, offset: int, count: int) -> None:
-        if offset + count > len(buf):
-            raise CodecError("truncated frame")
 
-    @classmethod
-    def _read_count(cls, buf, offset: int) -> Tuple[int, int]:
-        cls._need(buf, offset, 4)
-        return _unpack_u32(buf, offset)[0], offset + 4
-
-    @classmethod
-    def _read_sized(cls, buf, offset: int) -> Tuple[bytes, int]:
-        size, offset = cls._read_count(buf, offset)
-        cls._need(buf, offset, size)
-        return buf[offset : offset + size], offset + size
-
-
-# -- encoder table ------------------------------------------------------------
-# One function per concrete value type, dispatched by ``value.__class__``;
-# subclasses fall back to an isinstance walk whose result is memoised.
+# -- hand-written encoders ----------------------------------------------------
+# Only the formats that are not "tag, then each field in order": primitives,
+# packed int sequences, curve points, the flat containers and PreEncoded.
+# Each takes (codec, out, value) and appends to ``out``.
 
 def _e_none(codec, out, value):
     out.append(_T_NONE)
@@ -469,23 +500,6 @@ def _e_dict(codec, out, value):
         write(out, item)
 
 
-def _e_share(codec, out, value):
-    out.append(_T_SHARE)
-    codec._write(out, value.signer)
-    codec._write(out, value.value)
-
-
-def _e_aggregate(codec, out, value):
-    out.append(_T_AGGREGATE)
-    codec._write(out, value.value)
-    codec._write(out, dict(value.multiplicities))
-
-
-def _e_hashsig_acc(codec, out, value):
-    out.append(_T_HASHSIG_ACC)
-    codec._write(out, value.accumulator)
-
-
 def _e_point(codec, out, value):
     if value.is_infinity:
         out.append(_T_POINT_INF)
@@ -493,123 +507,6 @@ def _e_point(codec, out, value):
         out.append(_T_POINT)
         codec._write(out, value.x.value)
         codec._write(out, value.y.value)
-
-
-def _e_qc(codec, out, value):
-    out.append(_T_QC)
-    write = codec._write
-    write(out, value.block_id)
-    write(out, value.view)
-    write(out, value.height)
-    write(out, value.aggregate)
-    write(out, value.collector)
-
-
-def _e_block(codec, out, value):
-    out.append(_T_BLOCK)
-    write = codec._write
-    write(out, value.height)
-    write(out, value.view)
-    write(out, value.proposer)
-    write(out, value.parent_id)
-    write(out, value.qc)
-    write(out, tuple(value.payload))
-    write(out, value.payload_bytes)
-    write(out, value.timestamp)
-
-
-def _e_proposal(codec, out, value):
-    out.append(_T_PROPOSAL)
-    codec._write(out, value.block)
-
-
-def _e_signature_msg(codec, out, value):
-    out.append(_T_SIGNATURE_MSG)
-    codec._write(out, value.block_id)
-    codec._write(out, value.view)
-    codec._write(out, value.signature)
-
-
-def _e_ack(codec, out, value):
-    out.append(_T_ACK)
-    codec._write(out, value.block_id)
-    codec._write(out, value.view)
-    codec._write(out, value.aggregate)
-
-
-def _e_second_chance(codec, out, value):
-    out.append(_T_SECOND_CHANCE)
-    codec._write(out, value.block)
-    codec._write(out, value.proof)
-
-
-def _e_second_chance_reply(codec, out, value):
-    out.append(_T_SECOND_CHANCE_REPLY)
-    codec._write(out, value.block_id)
-    codec._write(out, value.view)
-    codec._write(out, value.signature)
-
-
-def _e_new_view(codec, out, value):
-    out.append(_T_NEW_VIEW)
-    codec._write(out, value.view)
-    codec._write(out, value.highest_qc)
-
-
-def _e_sync_req(codec, out, value):
-    out.append(_T_SYNC_REQ)
-    codec._write(out, value.sender)
-    codec._write(out, value.from_height)
-
-
-def _e_sync_resp(codec, out, value):
-    out.append(_T_SYNC_RESP)
-    codec._write(out, value.sender)
-    codec._write(out, value.view)
-    codec._write(out, value.highest_qc)
-    codec._write(out, tuple(value.blocks))
-
-
-def _e_session_hello(codec, out, value):
-    out.append(_T_SESSION_HELLO)
-    codec._write(out, value.pid)
-    codec._write(out, value.incarnation)
-
-
-def _e_session_ack(codec, out, value):
-    out.append(_T_SESSION_ACK)
-    codec._write(out, value.acked)
-
-
-def _e_heartbeat(codec, out, value):
-    out.append(_T_HEARTBEAT)
-    codec._write(out, value.pid)
-    codec._write(out, value.seq)
-
-
-def _e_client_hello(codec, out, value):
-    out.append(_T_CLIENT_HELLO)
-    codec._write(out, value.client_id)
-    codec._write(out, value.incarnation)
-
-
-def _e_client_request(codec, out, value):
-    out.append(_T_CLIENT_REQUEST)
-    codec._write(out, value.request_id)
-    codec._write(out, value.client_id)
-    codec._write(out, value.payload_size)
-
-
-def _e_client_reply(codec, out, value):
-    out.append(_T_CLIENT_REPLY)
-    codec._write(out, value.request_id)
-    codec._write(out, value.replica)
-
-
-def _e_client_reject(codec, out, value):
-    out.append(_T_CLIENT_REJECT)
-    codec._write(out, value.request_id)
-    codec._write(out, value.reason)
 
 
 def _e_routed(codec, out, value):
@@ -648,94 +545,10 @@ def _e_pre_encoded(codec, out, value):
     out += value.raw
 
 
-_ENCODERS: Dict[type, Callable[[WireCodec, bytearray, Any], None]] = {
-    type(None): _e_none,
-    bool: _e_bool,
-    int: _e_int,
-    float: _e_float,
-    str: _e_str,
-    bytes: _e_bytes,
-    bytearray: _e_bytes,
-    memoryview: _e_bytes,
-    list: _e_seq,
-    tuple: _e_seq,
-    dict: _e_dict,
-    SignatureShare: _e_share,
-    AggregateSignature: _e_aggregate,
-    _HashSigAggregateValue: _e_hashsig_acc,
-    Point: _e_point,
-    QuorumCertificate: _e_qc,
-    Block: _e_block,
-    ProposalMessage: _e_proposal,
-    SignatureMessage: _e_signature_msg,
-    AckMessage: _e_ack,
-    SecondChanceMessage: _e_second_chance,
-    SecondChanceReply: _e_second_chance_reply,
-    NewViewMessage: _e_new_view,
-    SyncRequest: _e_sync_req,
-    SyncResponse: _e_sync_resp,
-    SessionHello: _e_session_hello,
-    SessionAck: _e_session_ack,
-    Heartbeat: _e_heartbeat,
-    ClientHello: _e_client_hello,
-    ClientRequest: _e_client_request,
-    ClientReply: _e_client_reply,
-    ClientReject: _e_client_reject,
-    Routed: _e_routed,
-    SessionEnvelope: _e_session_envelope,
-    FrameBatch: _e_batch,
-    PreEncoded: _e_pre_encoded,
-}
-
-#: isinstance fallbacks for subclasses, in original if/elif precedence order.
-_ENCODER_BASES: Tuple[Tuple[type, Callable], ...] = (
-    (bool, _e_bool),
-    (int, _e_int),
-    (float, _e_float),
-    (str, _e_str),
-    ((bytes, bytearray, memoryview), _e_bytes),
-    ((list, tuple), _e_seq),
-    (dict, _e_dict),
-    (SignatureShare, _e_share),
-    (AggregateSignature, _e_aggregate),
-    (_HashSigAggregateValue, _e_hashsig_acc),
-    (Point, _e_point),
-    (QuorumCertificate, _e_qc),
-    (Block, _e_block),
-    (ProposalMessage, _e_proposal),
-    (SignatureMessage, _e_signature_msg),
-    (AckMessage, _e_ack),
-    (SecondChanceMessage, _e_second_chance),
-    (SecondChanceReply, _e_second_chance_reply),
-    (NewViewMessage, _e_new_view),
-    (SyncRequest, _e_sync_req),
-    (SyncResponse, _e_sync_resp),
-    (SessionHello, _e_session_hello),
-    (SessionAck, _e_session_ack),
-    (Heartbeat, _e_heartbeat),
-    (ClientHello, _e_client_hello),
-    (ClientRequest, _e_client_request),
-    (ClientReply, _e_client_reply),
-    (ClientReject, _e_client_reject),
-    (Routed, _e_routed),
-    (SessionEnvelope, _e_session_envelope),
-    (FrameBatch, _e_batch),
-    (PreEncoded, _e_pre_encoded),
-)
-
-
-def _resolve_encoder(value: Any) -> Callable[[WireCodec, bytearray, Any], None]:
-    for base, enc in _ENCODER_BASES:
-        if isinstance(value, base):
-            _ENCODERS[value.__class__] = enc  # memoise the subclass
-            return enc
-    raise CodecError(f"cannot encode value of type {type(value).__name__}")
-
-
-# -- decoder table ------------------------------------------------------------
-# Indexed by tag byte; each decoder takes (codec, buf, offset-past-tag) and
-# returns (value, new offset).  ``buf`` is a memoryview: slices are views,
-# not copies, so only terminal ``bytes`` values allocate.
+# -- hand-written decoders ----------------------------------------------------
+# The same formats, read back.  Each decoder takes (codec, buf,
+# offset-past-tag) and returns (value, new offset).  ``buf`` is a memoryview:
+# slices are views, not copies, so only terminal ``bytes`` values allocate.
 
 def _d_none(codec, buf, offset):
     return None, offset
@@ -852,23 +665,6 @@ def _d_dict(codec, buf, offset):
     return mapping, offset
 
 
-def _d_share(codec, buf, offset):
-    signer, offset = codec._read(buf, offset)
-    value, offset = codec._read(buf, offset)
-    return SignatureShare(signer=signer, value=value), offset
-
-
-def _d_aggregate(codec, buf, offset):
-    value, offset = codec._read(buf, offset)
-    multiplicities, offset = codec._read(buf, offset)
-    return AggregateSignature(value=value, multiplicities=multiplicities), offset
-
-
-def _d_hashsig_acc(codec, buf, offset):
-    accumulator, offset = codec._read(buf, offset)
-    return _HashSigAggregateValue(accumulator), offset
-
-
 def _d_point_inf(codec, buf, offset):
     return Point.infinity(codec._require_params()), offset
 
@@ -877,139 +673,6 @@ def _d_point(codec, buf, offset):
     x, offset = codec._read(buf, offset)
     y, offset = codec._read(buf, offset)
     return Point.from_ints(x, y, codec._require_params()), offset
-
-
-def _d_qc(codec, buf, offset):
-    read = codec._read
-    block_id, offset = read(buf, offset)
-    view, offset = read(buf, offset)
-    height, offset = read(buf, offset)
-    aggregate, offset = read(buf, offset)
-    collector, offset = read(buf, offset)
-    qc = QuorumCertificate(
-        block_id=block_id, view=view, height=height,
-        aggregate=aggregate, collector=collector,
-    )
-    return qc, offset
-
-
-def _d_block(codec, buf, offset):
-    read = codec._read
-    height, offset = read(buf, offset)
-    view, offset = read(buf, offset)
-    proposer, offset = read(buf, offset)
-    parent_id, offset = read(buf, offset)
-    qc, offset = read(buf, offset)
-    payload, offset = read(buf, offset)
-    payload_bytes, offset = read(buf, offset)
-    timestamp, offset = read(buf, offset)
-    block = Block(
-        height=height, view=view, proposer=proposer, parent_id=parent_id,
-        qc=qc, payload=payload, payload_bytes=payload_bytes, timestamp=timestamp,
-    )
-    return block, offset
-
-
-def _d_proposal(codec, buf, offset):
-    block, offset = codec._read(buf, offset)
-    return ProposalMessage(block), offset
-
-
-def _d_signature_msg(codec, buf, offset):
-    block_id, offset = codec._read(buf, offset)
-    view, offset = codec._read(buf, offset)
-    signature, offset = codec._read(buf, offset)
-    return SignatureMessage(block_id=block_id, view=view, signature=signature), offset
-
-
-def _d_ack(codec, buf, offset):
-    block_id, offset = codec._read(buf, offset)
-    view, offset = codec._read(buf, offset)
-    aggregate, offset = codec._read(buf, offset)
-    return AckMessage(block_id=block_id, view=view, aggregate=aggregate), offset
-
-
-def _d_second_chance(codec, buf, offset):
-    block, offset = codec._read(buf, offset)
-    proof, offset = codec._read(buf, offset)
-    return SecondChanceMessage(block=block, proof=proof), offset
-
-
-def _d_second_chance_reply(codec, buf, offset):
-    block_id, offset = codec._read(buf, offset)
-    view, offset = codec._read(buf, offset)
-    signature, offset = codec._read(buf, offset)
-    return SecondChanceReply(block_id=block_id, view=view, signature=signature), offset
-
-
-def _d_new_view(codec, buf, offset):
-    view, offset = codec._read(buf, offset)
-    highest_qc, offset = codec._read(buf, offset)
-    return NewViewMessage(view=view, highest_qc=highest_qc), offset
-
-
-def _d_sync_req(codec, buf, offset):
-    sender, offset = codec._read(buf, offset)
-    from_height, offset = codec._read(buf, offset)
-    return SyncRequest(sender=sender, from_height=from_height), offset
-
-
-def _d_sync_resp(codec, buf, offset):
-    sender, offset = codec._read(buf, offset)
-    view, offset = codec._read(buf, offset)
-    highest_qc, offset = codec._read(buf, offset)
-    blocks, offset = codec._read(buf, offset)
-    return (
-        SyncResponse(sender=sender, view=view, highest_qc=highest_qc, blocks=blocks),
-        offset,
-    )
-
-
-def _d_session_hello(codec, buf, offset):
-    pid, offset = codec._read(buf, offset)
-    incarnation, offset = codec._read(buf, offset)
-    return SessionHello(pid=pid, incarnation=incarnation), offset
-
-
-def _d_session_ack(codec, buf, offset):
-    acked, offset = codec._read(buf, offset)
-    return SessionAck(acked=acked), offset
-
-
-def _d_heartbeat(codec, buf, offset):
-    pid, offset = codec._read(buf, offset)
-    seq, offset = codec._read(buf, offset)
-    return Heartbeat(pid=pid, seq=seq), offset
-
-
-def _d_client_hello(codec, buf, offset):
-    client_id, offset = codec._read(buf, offset)
-    incarnation, offset = codec._read(buf, offset)
-    return ClientHello(client_id=client_id, incarnation=incarnation), offset
-
-
-def _d_client_request(codec, buf, offset):
-    request_id, offset = codec._read(buf, offset)
-    client_id, offset = codec._read(buf, offset)
-    payload_size, offset = codec._read(buf, offset)
-    return (
-        ClientRequest(
-            request_id=request_id, client_id=client_id, payload_size=payload_size
-        ),
-        offset,
-    )
-
-
-def _d_client_reply(codec, buf, offset):
-    request_id, offset = codec._read(buf, offset)
-    replica, offset = codec._read(buf, offset)
-    return ClientReply(request_id=request_id, replica=replica), offset
-
-
-def _d_client_reject(codec, buf, offset):
-    request_id, offset = codec._read(buf, offset)
-    reason, offset = codec._read(buf, offset)
-    return ClientReject(request_id=request_id, reason=reason), offset
 
 
 def _d_routed(codec, buf, offset):
@@ -1023,7 +686,8 @@ def _d_routed(codec, buf, offset):
 
 def _d_session_envelope(codec, buf, offset):
     seq, offset = codec._read(buf, offset)
-    count, offset = codec._read_count(buf, offset)
+    count = _unpack_u32(buf, offset)[0]
+    offset += 4
     if count == 0:
         raise CodecError("empty session envelope")
     read = codec._read
@@ -1038,7 +702,8 @@ def _d_session_envelope(codec, buf, offset):
 
 
 def _d_batch(codec, buf, offset):
-    count, offset = codec._read_count(buf, offset)
+    count = _unpack_u32(buf, offset)[0]
+    offset += 4
     if count == 0:
         raise CodecError("empty batch frame")
     read = codec._read
@@ -1052,44 +717,99 @@ def _d_batch(codec, buf, offset):
     return FrameBatch(tuple(members)), offset
 
 
+# -- records and dispatch tables ----------------------------------------------
+# A plain record's codec is built from its ``_RECORDS`` row: the field names
+# come from the dataclass declaration, so the schema is written down once.
+# Both factories dispatch each field inline (what ``_write`` / ``_read`` do,
+# minus one method call per field), which is what keeps a generated record
+# codec as fast as the hand-unrolled functions it replaced.
+
+def _record_encoder(tag: int, cls: type) -> Callable[[WireCodec, bytearray, Any], None]:
+    names = tuple(field.name for field in fields(cls))
+    exact = _ENCODERS.get
+
+    def encode(codec, out, value):
+        out.append(tag)
+        for name in names:
+            item = getattr(value, name)
+            (exact(item.__class__) or _resolve_encoder(item))(codec, out, item)
+
+    return encode
+
+
+def _record_decoder(cls: type) -> Callable[[WireCodec, Any, int], Tuple[Any, int]]:
+    names = tuple(field.name for field in fields(cls))
+    decoders = _DECODERS
+
+    def decode(codec, buf, offset):
+        values: List[Any] = []
+        for _ in names:  # one tagged value per field, in declaration order
+            fn = decoders[buf[offset]]
+            if fn is None:
+                raise CodecError(f"unknown wire tag 0x{buf[offset]:02x}")
+            value, offset = fn(codec, buf, offset + 1)
+            values.append(value)
+        return cls(*values), offset
+
+    return decode
+
+
+#: Encoder by exact value type.  A subclass (or a non-dict ``Mapping``, which
+#: is how ``AggregateSignature.multiplicities`` is typed) misses here and is
+#: resolved by :func:`_resolve_encoder`.
+_ENCODERS: Dict[type, Callable[[WireCodec, bytearray, Any], None]] = {
+    type(None): _e_none,
+    bool: _e_bool,
+    int: _e_int,
+    float: _e_float,
+    str: _e_str,
+    bytes: _e_bytes,
+    bytearray: _e_bytes,
+    memoryview: _e_bytes,
+    list: _e_seq,
+    tuple: _e_seq,
+    dict: _e_dict,
+    Mapping: _e_dict,
+    Point: _e_point,
+    Routed: _e_routed,
+    SessionEnvelope: _e_session_envelope,
+    FrameBatch: _e_batch,
+    PreEncoded: _e_pre_encoded,
+}
+
+#: Decoder by tag byte; ``None`` marks an unassigned tag.
 _DECODERS: List[Optional[Callable]] = [None] * 256
-for _tag, _fn in {
-    _T_NONE: _d_none,
-    _T_TRUE: _d_true,
-    _T_FALSE: _d_false,
-    _T_INT: _d_int,
-    _T_FLOAT: _d_float,
-    _T_STR: _d_str,
-    _T_BYTES: _d_bytes,
-    _T_SEQ: _d_seq,
-    _T_SEQ_I32: _d_seq_i32,
-    _T_SEQ_I64: _d_seq_i64,
-    _T_DICT: _d_dict,
-    _T_SHARE: _d_share,
-    _T_AGGREGATE: _d_aggregate,
-    _T_HASHSIG_ACC: _d_hashsig_acc,
-    _T_POINT: _d_point,
-    _T_POINT_INF: _d_point_inf,
-    _T_QC: _d_qc,
-    _T_BLOCK: _d_block,
-    _T_BATCH: _d_batch,
-    _T_PROPOSAL: _d_proposal,
-    _T_SIGNATURE_MSG: _d_signature_msg,
-    _T_ACK: _d_ack,
-    _T_SECOND_CHANCE: _d_second_chance,
-    _T_SECOND_CHANCE_REPLY: _d_second_chance_reply,
-    _T_NEW_VIEW: _d_new_view,
-    _T_SYNC_REQ: _d_sync_req,
-    _T_SYNC_RESP: _d_sync_resp,
-    _T_SESSION_HELLO: _d_session_hello,
-    _T_SESSION_ENVELOPE: _d_session_envelope,
-    _T_SESSION_ACK: _d_session_ack,
-    _T_HEARTBEAT: _d_heartbeat,
-    _T_ROUTED: _d_routed,
-    _T_CLIENT_HELLO: _d_client_hello,
-    _T_CLIENT_REQUEST: _d_client_request,
-    _T_CLIENT_REPLY: _d_client_reply,
-    _T_CLIENT_REJECT: _d_client_reject,
-}.items():
+for _tag, _fn in (
+    (_T_NONE, _d_none),
+    (_T_TRUE, _d_true),
+    (_T_FALSE, _d_false),
+    (_T_INT, _d_int),
+    (_T_FLOAT, _d_float),
+    (_T_STR, _d_str),
+    (_T_BYTES, _d_bytes),
+    (_T_SEQ, _d_seq),
+    (_T_SEQ_I32, _d_seq_i32),
+    (_T_SEQ_I64, _d_seq_i64),
+    (_T_DICT, _d_dict),
+    (_T_POINT, _d_point),
+    (_T_POINT_INF, _d_point_inf),
+    (_T_ROUTED, _d_routed),
+    (_T_SESSION_ENVELOPE, _d_session_envelope),
+    (_T_BATCH, _d_batch),
+):
     _DECODERS[_tag] = _fn
-del _tag, _fn
+for _tag, _cls in _RECORDS:
+    if _DECODERS[_tag] is not None or _cls in _ENCODERS:
+        raise RuntimeError(f"wire schema row (0x{_tag:02x}, {_cls.__name__}) reuses a tag or class")
+    _ENCODERS[_cls] = _record_encoder(_tag, _cls)
+    _DECODERS[_tag] = _record_decoder(_cls)
+del _tag, _fn, _cls
+
+
+def _resolve_encoder(value: Any) -> Callable[[WireCodec, bytearray, Any], None]:
+    """Subclass fallback: the same listing, walked with ``isinstance``."""
+    for base, enc in tuple(_ENCODERS.items()):
+        if isinstance(value, base):
+            _ENCODERS[value.__class__] = enc  # memoise the subclass
+            return enc
+    raise CodecError(f"cannot encode value of type {type(value).__name__}")

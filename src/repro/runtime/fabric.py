@@ -67,7 +67,7 @@ from repro.resilience.messages import (
 )
 from repro.resilience.session import PeerSession
 from repro.runtime.codec import FrameBatch, PreEncoded, WireCodec
-from repro.runtime.net import tune_writer
+from repro.runtime.net import read_frame, tune_writer
 
 __all__ = ["Placement", "WorkerFabric"]
 
@@ -354,7 +354,7 @@ class WorkerFabric:
         self.connections_accepted += 1
         tune_writer(writer)
         try:
-            hello = self.codec.decode(await self._read_frame(reader))
+            hello = self.codec.decode(await read_frame(reader, _READ_LIMIT))
             if isinstance(hello, ClientHello):
                 await self._serve_client(reader, writer)
                 return
@@ -365,7 +365,7 @@ class WorkerFabric:
             else:
                 return
             while True:
-                decoded = self.codec.decode(await self._read_frame(reader))
+                decoded = self.codec.decode(await read_frame(reader, _READ_LIMIT))
                 if isinstance(decoded, Heartbeat):
                     # Worker-level liveness beacon: one frame vouches for
                     # every replica the remote worker hosts.
@@ -438,14 +438,6 @@ class WorkerFabric:
             for pid in vouched:
                 node.detector.heartbeat(pid, now)
 
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-        header = await reader.readexactly(4)
-        size = int.from_bytes(header, "big")
-        if size > _READ_LIMIT:
-            raise ConnectionError(f"oversized frame ({size} bytes)")
-        return await reader.readexactly(size)
-
     # -- client connections ------------------------------------------------------
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -461,7 +453,7 @@ class WorkerFabric:
         self._client_writers.append(writer)
         try:
             while True:
-                decoded = self.codec.decode(await self._read_frame(reader))
+                decoded = self.codec.decode(await read_frame(reader, _READ_LIMIT))
                 members = (
                     decoded.messages if isinstance(decoded, FrameBatch) else (decoded,)
                 )

@@ -1,4 +1,4 @@
-"""Socket tuning for the live runtime's TCP links.
+"""Socket tuning and frame reading for the live runtime's TCP links.
 
 Consensus traffic is many small frames (votes, acks, heartbeats are tens
 of bytes) punctuated by proposal bursts, exchanged over long-lived
@@ -17,15 +17,24 @@ the runtime opens (or accepts) goes through :func:`tune_socket`:
 All options are best-effort: a platform that rejects one (or a test
 double without a real socket) is left at its defaults rather than
 failing the connection.
+
+The module also owns the reading half of the frame format:
+:meth:`repro.runtime.codec.WireCodec.frame` writes a 4-byte big-endian
+length prefix and :func:`read_frame` is the one place that consumes it,
+for peer links, client links and the session ack channel alike.  It
+lives here rather than in the codec because the session layer cannot
+import the codec (the codec imports the session layer's messages).
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
 from typing import Any
 
 __all__ = [
     "SOCKET_BUFFER_BYTES",
+    "read_frame",
     "tune_socket",
     "tune_writer",
 ]
@@ -62,3 +71,18 @@ def tune_writer(writer: Any) -> None:
         return
     if isinstance(sock, socket.socket):
         tune_socket(sock)
+
+
+async def read_frame(reader: asyncio.StreamReader, limit: int) -> bytes:
+    """Read one length-prefixed frame body from ``reader``.
+
+    The 4-byte header comes from the peer, so it is checked against
+    ``limit`` *before* the body is awaited: an oversized header raises
+    :class:`ConnectionError` without buffering a byte of the body.  A
+    stream that ends mid-frame raises :class:`asyncio.IncompleteReadError`
+    from the underlying ``readexactly``.
+    """
+    size = int.from_bytes(await reader.readexactly(4), "big")
+    if size > limit:
+        raise ConnectionError(f"oversized frame ({size} bytes, limit {limit})")
+    return await reader.readexactly(size)

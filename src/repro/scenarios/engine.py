@@ -217,8 +217,8 @@ def build_scenario_deployment(
 
     This is the single spec→deployment path — :func:`run_scenario` calls
     it once per epoch, and :func:`repro.api.deploy` exposes it to callers
-    that need the live :class:`Deployment` (custom drop rules, message
-    tracing, QC audits) rather than just the summarised metrics.
+    that need the live :class:`Deployment` (custom drop rules, QC
+    audits) rather than just the summarised metrics.
 
     ``runtime`` selects the substrate: ``"sim"`` (default) returns the
     fully wired simulator :class:`Deployment`; ``"live"`` returns a

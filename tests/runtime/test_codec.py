@@ -8,6 +8,12 @@ tests fuzzing the payload space.
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +34,7 @@ from repro.clients.messages import (
     ClientRequest,
 )
 from repro.consensus.block import Block, QuorumCertificate, genesis_qc
+from repro.crypto.curve import Point
 from repro.crypto.multisig import (
     AggregateSignature,
     SignatureShare,
@@ -37,6 +44,7 @@ from repro.crypto.multisig import (
 from repro.crypto.params import TOY_PARAMS
 from repro.resilience.messages import (
     Heartbeat,
+    Routed,
     SessionAck,
     SessionEnvelope,
     SessionHello,
@@ -44,12 +52,14 @@ from repro.resilience.messages import (
     SyncResponse,
 )
 from repro.runtime.codec import (
+    _RECORDS,
     CodecError,
     FrameBatch,
     WIRE_MESSAGE_TYPES,
     WIRE_VERSION,
     WireCodec,
 )
+from repro.runtime.net import read_frame
 
 BACKENDS = [
     ("hashsig", {}, None),
@@ -407,3 +417,200 @@ def test_property_mixed_batches_round_trip(messages):
     decoded = codec.decode(codec.frame_batch(messages)[4:])
     assert isinstance(decoded, FrameBatch)
     assert decoded.messages == tuple(messages)
+
+
+# ---------------------------------------------------------------------------
+# The schema table: golden v6 bytes, completeness
+# ---------------------------------------------------------------------------
+#: Hex frames of every case below, captured at the last commit with a
+#: hand-unrolled codec (PR 23).  Record codecs are generated from dataclass
+#: field order, so reordering a record's fields silently changes the wire
+#: format; this pins it.  A deliberate format change bumps ``WIRE_VERSION``
+#: and regenerates the file from ``_golden_cases`` (see its docstring).
+_GOLDEN_PATH = Path(__file__).with_name("golden_wire_v6.json")
+
+
+def _golden_cases(backend_name, backend_kwargs):
+    """One instance of every schema row, the flat containers and (for
+    ``bls``) both point forms, by name.
+
+    To regenerate ``golden_wire_v6.json``: for each entry of ``BACKENDS``
+    dump ``{name: WireCodec(params).encode(value).hex()}`` of this dict
+    under the backend's name.
+    """
+    scheme, shares, aggregate, qc, block = _fixtures(backend_name, backend_kwargs)
+    vote = SignatureMessage(block_id=block.block_id, view=4, signature=shares[3])
+    ack = AckMessage(block_id=block.block_id, view=4, aggregate=aggregate)
+    reject = ClientReject(request_id=99, reason=REJECT_CLIENT_WINDOW)
+    cases = {
+        "share": shares[0],
+        "aggregate": aggregate,
+        "aggregate_value": aggregate.value,
+        "qc": qc,
+        "block": block,
+        "proposal": ProposalMessage(block),
+        "vote": vote,
+        "vote_aggregate": SignatureMessage(block_id=block.block_id, view=4, signature=aggregate),
+        "ack": ack,
+        "second_chance": SecondChanceMessage(block=block, proof=aggregate),
+        "second_chance_timeout": SecondChanceMessage(block=block, proof=None),
+        "second_chance_reply": SecondChanceReply(
+            block_id=block.block_id, view=4, signature=shares[1]
+        ),
+        "new_view": NewViewMessage(view=5, highest_qc=qc),
+        "sync_request": SyncRequest(sender=3, from_height=2),
+        "sync_response": SyncResponse(sender=1, view=6, highest_qc=qc, blocks=(block,)),
+        "session_hello": SessionHello(pid=3, incarnation=2),
+        "session_ack": SessionAck(acked=41),
+        "heartbeat": Heartbeat(pid=1, seq=300),
+        "client_hello": ClientHello(client_id=2, incarnation=3),
+        "client_request": ClientRequest(
+            request_id=(3 << 48) | (2 << 28) | 17, client_id=2, payload_size=64
+        ),
+        "client_reply": ClientReply(request_id=99, replica=4),
+        "client_reject": reject,
+        "routed": Routed(src=3, dst=0, message=vote),
+        "session_envelope": SessionEnvelope(
+            seq=9, messages=(Routed(src=3, dst=0, message=vote), Routed(src=0, dst=3, message=ack))
+        ),
+        "frame_batch": FrameBatch((vote, ack, reject)),
+    }
+    if backend_name == "bls":
+        cases["point"] = shares[2].value
+        cases["point_infinity"] = Point.infinity(TOY_PARAMS)
+    return cases
+
+
+@pytest.mark.parametrize("backend_name,backend_kwargs,params", BACKENDS)
+def test_golden_v6_bytes(backend_name, backend_kwargs, params):
+    golden = json.loads(_GOLDEN_PATH.read_text())[backend_name]
+    codec = WireCodec(curve_params=params)
+    cases = _golden_cases(backend_name, backend_kwargs)
+    assert set(cases) == set(golden)
+    for name, value in cases.items():
+        assert codec.encode(value).hex() == golden[name], name
+        assert codec.decode(bytes.fromhex(golden[name])) == value, name
+    # The cases cover the whole table, so no row can drift unpinned.
+    rows = {cls for _, cls in _RECORDS}
+    if backend_name == "hashsig":
+        assert rows <= {type(value) for value in cases.values()}
+
+
+def test_schema_table_is_complete_and_rows_round_trip_routed():
+    from repro.aggregation import messages as aggregation_messages
+    from repro.clients import messages as client_messages
+    from repro.resilience import messages as resilience_messages
+
+    rows = dict(_RECORDS)
+    assert len(rows) == len(_RECORDS), "duplicate tag in the schema table"
+    assert len(set(rows.values())) == len(_RECORDS), "a class is listed twice"
+    containers = {Routed, SessionEnvelope, FrameBatch}
+    assert not containers & set(rows.values())
+    for module in (aggregation_messages, resilience_messages, client_messages):
+        for name in module.__all__:
+            exported = getattr(module, name)
+            if dataclasses.is_dataclass(exported):
+                assert exported in containers or exported in rows.values(), name
+
+    codec = WireCodec()
+    instances = {type(value): value for value in _golden_cases("hashsig", {}).values()}
+    for tag, cls in _RECORDS:
+        envelope = SessionEnvelope(seq=1, messages=(Routed(src=1, dst=2, message=instances[cls]),))
+        assert codec.encode_value(instances[cls])[0] == tag
+        assert codec.decode(codec.encode(envelope)) == envelope
+
+
+def test_read_only_multiplicity_mapping_encodes_like_a_dict():
+    # ``AggregateSignature.multiplicities`` is typed ``Mapping``; the field
+    # is written as it is, so a non-dict mapping must still find the dict
+    # encoder (the hand-written codec copied it into a dict first).
+    from types import MappingProxyType
+
+    codec = WireCodec()
+    plain = AggregateSignature(value=_HashSigAggregateValue(5), multiplicities={1: 2, 3: 1})
+    frozen = AggregateSignature(
+        value=_HashSigAggregateValue(5), multiplicities=MappingProxyType({1: 2, 3: 1})
+    )
+    assert codec.encode(frozen) == codec.encode(plain)
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: only CodecError escapes decode
+# ---------------------------------------------------------------------------
+def test_mutated_frames_raise_only_codec_error():
+    # Seeded 1-3 byte flips over four valid frames.  Corrupt bytes reach
+    # the UTF-8 decoder, dict-key hashing and record constructors with
+    # values of the wrong shape; none of that may surface as anything but
+    # CodecError (callers catch nothing else).
+    _, shares, aggregate, qc, block = _fixtures("hash", {})
+    codec = WireCodec()
+    vote = SignatureMessage(block_id=block.block_id, view=4, signature=shares[3])
+    frames = [
+        codec.encode(ProposalMessage(block)),
+        codec.encode(AckMessage(block_id=block.block_id, view=4, aggregate=aggregate)),
+        codec.encode(SessionEnvelope(seq=9, messages=(Routed(src=3, dst=0, message=vote),))),
+        codec.encode(FrameBatch((ClientReject(request_id=99), ClientReply(request_id=7)))),
+    ]
+    rng = random.Random(24)
+    rejected = 0
+    for _ in range(20_000):
+        mutated = bytearray(rng.choice(frames))
+        for _ in range(rng.randint(1, 3)):
+            mutated[rng.randrange(1, len(mutated))] = rng.randrange(256)
+        try:
+            codec.decode(bytes(mutated))
+        except CodecError:
+            rejected += 1
+    assert rejected > 1_000  # the mutations do reach the error paths
+
+
+# ---------------------------------------------------------------------------
+# read_frame: the one consumer of the length prefix
+# ---------------------------------------------------------------------------
+def _frame_limit(site):
+    from repro.clients import swarm
+    from repro.runtime import fabric
+
+    # The session's ack reader is bounded by the ``read_limit`` its owner
+    # passes, and the fabric passes its own frame limit.
+    return {"fabric": fabric._READ_LIMIT, "swarm": swarm._READ_LIMIT,
+            "session": fabric._READ_LIMIT}[site]
+
+
+@pytest.mark.parametrize("site", ["fabric", "swarm", "session"])
+def test_read_frame_rejects_oversized_header_before_the_body(site):
+    limit = _frame_limit(site)
+
+    async def scenario():
+        codec = WireCodec()
+        reader = asyncio.StreamReader()
+        reader.feed_data(codec.frame(SessionAck(acked=41)))
+        reader.feed_data((limit + 1).to_bytes(4, "big"))  # header only, no body
+        assert codec.decode(await read_frame(reader, limit)) == SessionAck(acked=41)
+        with pytest.raises(ConnectionError, match="oversized"):
+            # A reader that waited for the body would hang here, not raise.
+            await asyncio.wait_for(read_frame(reader, limit), timeout=2.0)
+        reader.feed_data(b"\x00\x00")
+        reader.feed_eof()
+        with pytest.raises(asyncio.IncompleteReadError):
+            await read_frame(reader, limit)
+
+    asyncio.run(scenario())
+
+
+def test_peer_session_breaks_the_link_on_an_oversized_ack_header():
+    from repro.resilience.session import PeerSession
+
+    async def scenario():
+        session = PeerSession(0, 1, "127.0.0.1", 1, WireCodec(), read_limit=1 << 16)
+        reader = asyncio.StreamReader()
+        reader.feed_data(WireCodec().frame(SessionAck(acked=3)))
+        reader.feed_data(((1 << 16) + 1).to_bytes(4, "big"))
+        # The parent's reader awaited a body of whatever size the peer
+        # announced (up to 4 GiB); now the header alone ends the link.
+        await asyncio.wait_for(session._read_acks(reader), timeout=2.0)
+        assert session._acked == 3
+        assert session._broken
+
+    asyncio.run(scenario())
+
