@@ -21,123 +21,85 @@ modelled explicitly:
 
 The merge rule only folds in aggregates that contribute at least one new
 signer, keeping multiplicities bounded while preserving the indivisible
-aggregation semantics.
+aggregation semantics.  Handel (:mod:`repro.aggregation.handel`) merges
+by the same rule and differs only in how it picks peers, so both build on
+:class:`MergeAggregator`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Union
+from abc import abstractmethod
+from dataclasses import dataclass
+from typing import Any, List, Optional, Union
 
-from repro.aggregation.base import Aggregator, register_aggregator
-from repro.aggregation.messages import ProposalMessage, SignatureMessage
+from repro.aggregation.base import Aggregator, Round, register_aggregator
+from repro.aggregation.messages import SignatureMessage
 from repro.consensus.block import Block
 from repro.crypto.multisig import AggregateSignature, SignatureShare
 
-__all__ = ["GosigAggregator"]
+__all__ = ["GosigAggregator", "MergeAggregator"]
 
 
-@register_aggregator
-class GosigAggregator(Aggregator):
-    """Randomised gossip aggregation with parameter ``k`` (``gossip_fanout``)."""
+@dataclass(slots=True)
+class MergeRound(Round):
+    """A Gosig / Handel round: this replica's share and running aggregate."""
 
-    name = "gosig"
+    own_share: Optional[SignatureShare] = None
+    aggregate: Optional[AggregateSignature] = None
+    #: Gosig only: the gossip rounds sent so far and the peer-sampling rng.
+    rounds_sent: int = 0
+    rng: Optional[random.Random] = None
 
-    # -- dissemination ---------------------------------------------------------
-    def disseminate(self, block: Block) -> None:
-        message = ProposalMessage(block)
-        others = [pid for pid in range(self.config.committee_size) if pid != self.process_id]
-        self.replica.multicast(others, message, size_bytes=message.size_bytes)
-        self._on_proposal(block)
 
-    # -- message handling --------------------------------------------------------
-    def handle(self, sender: int, message: Any) -> bool:
-        if isinstance(message, ProposalMessage):
-            self._on_proposal(message.block)
-            return True
-        if isinstance(message, SignatureMessage):
-            self._on_gossip(sender, message)
-            return True
-        return False
+class MergeAggregator(Aggregator):
+    """Verify-and-merge aggregation, shared by Gosig and Handel.
 
-    # -- behaviour classification --------------------------------------------------
-    def is_free_rider(self, block: Block) -> bool:
-        """Whether this process skips aggregation work for ``block``.
+    Every replica folds what it receives into a running aggregate when it
+    adds new signers and spreads that aggregate to the peers :meth:`_spread`
+    picks; the collector finalises at a quorum.
+    """
 
-        Free-riders are a deterministic prefix of the committee so that
-        experiments are reproducible; the collector never free-rides (it
-        must aggregate to form a QC at all).
-        """
-        count = int(round(self.config.free_rider_fraction * self.config.committee_size))
-        if self.process_id >= count:
-            return False
-        return self.replica.collector_for(block) != self.process_id
+    round_type = MergeRound
 
     # -- proposal path ---------------------------------------------------------------
     def _on_proposal(self, block: Block) -> None:
-        state = self._gossip_state(block.block_id)
-        if state["proposal_handled"]:
+        state = self._round(block.block_id)
+        if state.own_share is not None:
             return
         share = self.replica.process_proposal(block)
         if share is None:
             return
-        state["proposal_handled"] = True
-        state["own_share"] = share
-        state["aggregate"] = self.scheme.aggregate([(share, 1)])
-        state["rng"] = random.Random(
-            (self.config.seed * 1_000_003 + self.process_id) * 1_000_003 + block.view
-        )
-        self._drain_pending(block)
-        self._gossip_round(block)
+        state.own_share = share
+        state.aggregate = self.scheme.aggregate([(share, 1)])
+        self._replay_pending(state)
+        self._spread(block, state)
         if self._is_collector(block):
             # The collector also arms a deadline: with message loss or many
             # free-riders the aggregate may never reach the full committee.
             self.replica.set_timer(
-                self.config.aggregation_timer(height=2), self._collector_timeout, block
+                self.config.aggregation_timer(height=2), self._collector_check, block
             )
 
-    # -- gossip rounds --------------------------------------------------------------
-    def _gossip_round(self, block: Block) -> None:
-        state = self._gossip_state(block.block_id)
-        if state["done"] or state["rounds_sent"] >= self.config.gossip_rounds:
-            return
-        state["rounds_sent"] += 1
-        rng: random.Random = state["rng"]
-        payload: Union[SignatureShare, AggregateSignature]
-        if self.is_free_rider(block):
-            payload = state["own_share"]
-        else:
-            payload = state["aggregate"]
-        peers = self._pick_peers(rng)
-        message = SignatureMessage(block_id=block.block_id, view=block.view, signature=payload)
-        self.replica.multicast(peers, message, size_bytes=message.size_bytes)
-        self.replica.set_timer(self.config.gossip_interval, self._gossip_round, block)
-
-    def _pick_peers(self, rng: random.Random) -> List[int]:
-        population = [pid for pid in range(self.config.committee_size) if pid != self.process_id]
-        fanout = min(self.config.gossip_fanout, len(population))
-        return rng.sample(population, fanout)
+    @abstractmethod
+    def _spread(self, block: Block, state: MergeRound) -> None:
+        """Start sending the running aggregate to peers."""
 
     # -- merging incoming aggregates ----------------------------------------------------
-    def _on_gossip(self, sender: int, message: SignatureMessage) -> None:
-        if self._is_done(message.block_id):
+    def _awaits_proposal(self, state: Optional[MergeRound]) -> bool:
+        return state is None or state.own_share is None
+
+    def _on_vote(self, sender: int, message: SignatureMessage) -> None:
+        block = self._vote_block(sender, message)
+        if block is None:
             return
-        block = self.replica.known_block(message.block_id)
-        state = self._gossip_state(message.block_id)
-        if block is None or not state["proposal_handled"]:
-            state["pending"].append((sender, message))
-            return
-        if self.is_free_rider(block):
-            # Free-riders do not verify or merge other processes' work.
-            return
-        incoming = message.signature
-        merged = self._merge(block, state, incoming)
+        merged = self._merge(block, self._round(block.block_id), message.signature)
         if merged and self._is_collector(block):
             self._collector_check(block)
 
-    def _merge(self, block: Block, state: Dict[str, Any], incoming: Any) -> bool:
+    def _merge(self, block: Block, state: MergeRound, incoming: Any) -> bool:
         """Fold ``incoming`` into the local aggregate if it adds new signers."""
-        current: AggregateSignature = state["aggregate"]
+        current = state.aggregate
         if isinstance(incoming, SignatureShare):
             new_signers = {incoming.signer} - set(current.signers)
             if not new_signers:
@@ -157,7 +119,7 @@ class GosigAggregator(Aggregator):
         else:
             return False
         self.replica.consume_cpu(self.config.cpu_model.aggregate_per_share)
-        state["aggregate"] = self.scheme.aggregate([(current, 1), (incoming, 1)])
+        state.aggregate = self.scheme.aggregate([(current, 1), (incoming, 1)])
         return True
 
     # -- collector --------------------------------------------------------------------------
@@ -165,40 +127,60 @@ class GosigAggregator(Aggregator):
         return self.replica.collector_for(block) == self.process_id
 
     def _collector_check(self, block: Block) -> None:
-        state = self._gossip_state(block.block_id)
-        if state["done"]:
+        """Finalise at a quorum; also the collector's deadline callback."""
+        state = self._round(block.block_id)
+        if state.done or state.aggregate is None:
             return
-        aggregate: AggregateSignature = state["aggregate"]
-        if len(aggregate.signers) >= self.config.quorum_size:
-            self._finalise(block, aggregate)
+        if len(state.aggregate.signers) >= self.config.quorum_size:
+            self._finalise(block, state.aggregate)
 
-    def _collector_timeout(self, block: Block) -> None:
-        state = self._gossip_state(block.block_id)
-        if state["done"]:
+
+@register_aggregator
+class GosigAggregator(MergeAggregator):
+    """Randomised gossip aggregation with parameter ``k`` (``gossip_fanout``)."""
+
+    name = "gosig"
+
+    # -- behaviour classification --------------------------------------------------
+    def is_free_rider(self, block: Block) -> bool:
+        """Whether this process skips aggregation work for ``block``.
+
+        Free-riders are a deterministic prefix of the committee so that
+        experiments are reproducible; the collector never free-rides (it
+        must aggregate to form a QC at all).
+        """
+        count = int(round(self.config.free_rider_fraction * self.config.committee_size))
+        if self.process_id >= count:
+            return False
+        return self.replica.collector_for(block) != self.process_id
+
+    def _merge(self, block: Block, state: MergeRound, incoming: Any) -> bool:
+        # Free-riders do not verify or merge other processes' work.
+        return not self.is_free_rider(block) and super()._merge(block, state, incoming)
+
+    # -- gossip rounds --------------------------------------------------------------
+    def _spread(self, block: Block, state: MergeRound) -> None:
+        state.rng = random.Random(
+            (self.config.seed * 1_000_003 + self.process_id) * 1_000_003 + block.view
+        )
+        self._gossip_round(block)
+
+    def _gossip_round(self, block: Block) -> None:
+        state = self._round(block.block_id)
+        if state.done or state.rounds_sent >= self.config.gossip_rounds:
             return
-        aggregate: AggregateSignature = state["aggregate"]
-        if aggregate is not None and len(aggregate.signers) >= self.config.quorum_size:
-            self._finalise(block, aggregate)
+        state.rounds_sent += 1
+        payload: Union[SignatureShare, AggregateSignature]
+        if self.is_free_rider(block):
+            payload = state.own_share
+        else:
+            payload = state.aggregate
+        peers = self._pick_peers(state.rng)
+        message = SignatureMessage(block_id=block.block_id, view=block.view, signature=payload)
+        self.replica.multicast(peers, message, size_bytes=message.size_bytes)
+        self.replica.set_timer(self.config.gossip_interval, self._gossip_round, block)
 
-    # -- state ------------------------------------------------------------------------------
-    def _gossip_state(self, block_id: str) -> Dict[str, Any]:
-        state = self._state.get(block_id)
-        if state is None:
-            state = {
-                "proposal_handled": False,
-                "own_share": None,
-                "aggregate": None,
-                "rounds_sent": 0,
-                "rng": None,
-                "pending": [],
-                "done": False,
-            }
-            self._state[block_id] = state
-            self._prune()
-        return state
-
-    def _drain_pending(self, block: Block) -> None:
-        state = self._gossip_state(block.block_id)
-        pending, state["pending"] = state["pending"], []
-        for sender, message in pending:
-            self._on_gossip(sender, message)
+    def _pick_peers(self, rng: random.Random) -> List[int]:
+        population = [pid for pid in range(self.config.committee_size) if pid != self.process_id]
+        fanout = min(self.config.gossip_fanout, len(population))
+        return rng.sample(population, fanout)

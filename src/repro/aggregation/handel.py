@@ -25,39 +25,22 @@ suitable for the discrete-event experiments:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List
+from typing import List
 
-from repro.aggregation.base import Aggregator, register_aggregator
-from repro.aggregation.messages import ProposalMessage, SignatureMessage
+from repro.aggregation.base import register_aggregator
+from repro.aggregation.gossip import MergeAggregator, MergeRound
+from repro.aggregation.messages import SignatureMessage
 from repro.consensus.block import Block
-from repro.crypto.multisig import AggregateSignature, SignatureShare
 from repro.tree.shuffle import deterministic_shuffle, view_seed
 
 __all__ = ["HandelAggregator"]
 
 
 @register_aggregator
-class HandelAggregator(Aggregator):
+class HandelAggregator(MergeAggregator):
     """Level-based randomised aggregation in the style of Handel."""
 
     name = "handel"
-
-    # -- dissemination ---------------------------------------------------------
-    def disseminate(self, block: Block) -> None:
-        message = ProposalMessage(block)
-        others = [pid for pid in range(self.config.committee_size) if pid != self.process_id]
-        self.replica.multicast(others, message, size_bytes=message.size_bytes)
-        self._on_proposal(block)
-
-    # -- message handling --------------------------------------------------------
-    def handle(self, sender: int, message: Any) -> bool:
-        if isinstance(message, ProposalMessage):
-            self._on_proposal(message.block)
-            return True
-        if isinstance(message, SignatureMessage):
-            self._on_contribution(sender, message)
-            return True
-        return False
 
     # -- level structure ------------------------------------------------------------
     def num_levels(self) -> int:
@@ -88,109 +71,23 @@ class HandelAggregator(Aggregator):
             peer_slice = ranking[start : start + half]
         return [pid for pid in peer_slice if pid != self.process_id]
 
-    # -- proposal path ---------------------------------------------------------------
-    def _on_proposal(self, block: Block) -> None:
-        state = self._handel_state(block.block_id)
-        if state["proposal_handled"]:
-            return
-        share = self.replica.process_proposal(block)
-        if share is None:
-            return
-        state["proposal_handled"] = True
-        state["own_share"] = share
-        state["aggregate"] = self.scheme.aggregate([(share, 1)])
-        self._drain_pending(block)
+    # -- spreading the aggregate level by level ---------------------------------------------
+    def _spread(self, block: Block, state: MergeRound) -> None:
         # Activate the levels one after another.
         for level in range(1, self.num_levels() + 1):
             self.replica.set_timer(
                 level * self.config.handel_level_delay, self._activate_level, block, level
             )
-        if self._is_collector(block):
-            self.replica.set_timer(
-                self.config.aggregation_timer(height=2), self._collector_timeout, block
-            )
 
     def _activate_level(self, block: Block, level: int) -> None:
-        state = self._handel_state(block.block_id)
-        if state["done"] or not state["proposal_handled"]:
+        state = self._round(block.block_id)
+        if state.done or state.own_share is None:
             return
         peers = self.level_peers(block, level)
         if not peers:
             return
         targets = peers[: max(1, self.config.handel_peers_per_level)]
         message = SignatureMessage(
-            block_id=block.block_id, view=block.view, signature=state["aggregate"]
+            block_id=block.block_id, view=block.view, signature=state.aggregate
         )
         self.replica.multicast(targets, message, size_bytes=message.size_bytes)
-
-    # -- merging --------------------------------------------------------------------------
-    def _on_contribution(self, sender: int, message: SignatureMessage) -> None:
-        if self._is_done(message.block_id):
-            return
-        block = self.replica.known_block(message.block_id)
-        state = self._handel_state(message.block_id)
-        if block is None or not state["proposal_handled"]:
-            state["pending"].append((sender, message))
-            return
-        incoming = message.signature
-        current: AggregateSignature = state["aggregate"]
-        if isinstance(incoming, SignatureShare):
-            if incoming.signer in current.signers:
-                return
-            self.replica.consume_cpu(self.config.cpu_model.verify_share)
-            if not self.committee.verify_share(incoming, block.signing_payload()):
-                return
-        elif isinstance(incoming, AggregateSignature):
-            if not set(incoming.signers) - set(current.signers):
-                return
-            self.replica.consume_cpu(
-                self.config.cpu_model.aggregate_verify_cost(len(incoming.signers))
-            )
-            if not self.committee.verify_aggregate(incoming, block.signing_payload()):
-                return
-        else:
-            return
-        self.replica.consume_cpu(self.config.cpu_model.aggregate_per_share)
-        state["aggregate"] = self.scheme.aggregate([(current, 1), (incoming, 1)])
-        if self._is_collector(block):
-            self._collector_check(block)
-
-    # -- collector --------------------------------------------------------------------------
-    def _is_collector(self, block: Block) -> bool:
-        return self.replica.collector_for(block) == self.process_id
-
-    def _collector_check(self, block: Block) -> None:
-        state = self._handel_state(block.block_id)
-        if state["done"]:
-            return
-        aggregate: AggregateSignature = state["aggregate"]
-        if len(aggregate.signers) >= self.config.quorum_size:
-            self._finalise(block, aggregate)
-
-    def _collector_timeout(self, block: Block) -> None:
-        state = self._handel_state(block.block_id)
-        if state["done"] or state["aggregate"] is None:
-            return
-        if len(state["aggregate"].signers) >= self.config.quorum_size:
-            self._finalise(block, state["aggregate"])
-
-    # -- state -------------------------------------------------------------------------------
-    def _handel_state(self, block_id: str) -> Dict[str, Any]:
-        state = self._state.get(block_id)
-        if state is None:
-            state = {
-                "proposal_handled": False,
-                "own_share": None,
-                "aggregate": None,
-                "pending": [],
-                "done": False,
-            }
-            self._state[block_id] = state
-            self._prune()
-        return state
-
-    def _drain_pending(self, block: Block) -> None:
-        state = self._handel_state(block.block_id)
-        pending, state["pending"] = state["pending"], []
-        for sender, message in pending:
-            self._on_contribution(sender, message)

@@ -10,14 +10,22 @@ can omit any vote it likes (0-omission probability ``m``, Table I).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from dataclasses import dataclass, field
+from typing import Dict
 
-from repro.aggregation.base import Aggregator, register_aggregator
-from repro.aggregation.messages import ProposalMessage, SignatureMessage
+from repro.aggregation.base import Aggregator, Round, register_aggregator
+from repro.aggregation.messages import SignatureMessage
 from repro.consensus.block import Block
 from repro.crypto.multisig import SignatureShare
 
 __all__ = ["StarAggregator"]
+
+
+@dataclass(slots=True)
+class StarRound(Round):
+    """The collector's verified shares, keyed by signer."""
+
+    shares: Dict[int, SignatureShare] = field(default_factory=dict)
 
 
 @register_aggregator
@@ -25,25 +33,9 @@ class StarAggregator(Aggregator):
     """HotStuff-style direct vote collection at the next leader."""
 
     name = "star"
-
-    # -- dissemination ---------------------------------------------------------
-    def disseminate(self, block: Block) -> None:
-        message = ProposalMessage(block)
-        others = [pid for pid in range(self.config.committee_size) if pid != self.process_id]
-        self.replica.multicast(others, message, size_bytes=message.size_bytes)
-        # The proposer delivers its own proposal immediately.
-        self._on_proposal(block)
+    round_type = StarRound
 
     # -- message handling -------------------------------------------------------
-    def handle(self, sender: int, message: Any) -> bool:
-        if isinstance(message, ProposalMessage):
-            self._on_proposal(message.block)
-            return True
-        if isinstance(message, SignatureMessage):
-            self._on_vote(sender, message)
-            return True
-        return False
-
     def _on_proposal(self, block: Block) -> None:
         share = self.replica.process_proposal(block)
         collector = self.replica.collector_for(block)
@@ -54,16 +46,11 @@ class StarAggregator(Aggregator):
             else:
                 self.replica.send(collector, vote, size_bytes=vote.size_bytes)
         if collector == self.process_id:
-            self._drain_pending(block)
+            self._replay_pending(self._round(block.block_id))
 
     def _on_vote(self, sender: int, message: SignatureMessage) -> None:
-        if self._is_done(message.block_id):
-            return
-        block = self.replica.known_block(message.block_id)
+        block = self._vote_block(sender, message)
         if block is None:
-            # The vote overtook the proposal; replay it once the block is known.
-            state = self._collection(message.block_id)
-            state["pending"].append((sender, message))
             return
         if self.replica.collector_for(block) != self.process_id:
             return
@@ -79,36 +66,22 @@ class StarAggregator(Aggregator):
         self._record_share(block, share)
 
     # -- collection state ----------------------------------------------------------
-    def _collection(self, block_id: str) -> Dict[str, Any]:
-        state = self._state.get(block_id)
-        if state is None:
-            state = {"shares": {}, "pending": [], "done": False}
-            self._state[block_id] = state
-            self._prune()
-        return state
-
-    def _drain_pending(self, block: Block) -> None:
-        state = self._collection(block.block_id)
-        pending, state["pending"] = state["pending"], []
-        for sender, message in pending:
-            self._on_vote(sender, message)
-
     def _record_share(self, block: Block, share: SignatureShare) -> None:
-        state = self._collection(block.block_id)
-        if state["done"]:
+        state = self._round(block.block_id)
+        if state.done:
             return
-        state["shares"][share.signer] = share
+        state.shares[share.signer] = share
         self._trace_hot(
             "share_verified",
             block.view,
             block=block.block_id[:12],
             src=share.signer,
             signers=1,
-            included=len(state["shares"]),
+            included=len(state.shares),
         )
-        if len(state["shares"]) < self.config.quorum_size:
+        if len(state.shares) < self.config.quorum_size:
             return
-        shares = list(state["shares"].values())
+        shares = list(state.shares.values())
         self.replica.consume_cpu(self.config.cpu_model.aggregate_per_share * len(shares))
         aggregate = self.scheme.aggregate([(share, 1) for share in shares])
         self._finalise(block, aggregate)

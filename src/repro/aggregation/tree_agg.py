@@ -17,9 +17,10 @@ with either variant.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.aggregation.base import Aggregator, register_aggregator
+from repro.aggregation.base import Aggregator, Round, register_aggregator
 from repro.aggregation.messages import ProposalMessage, SignatureMessage
 from repro.consensus.block import Block
 from repro.crypto.multisig import AggregateSignature, SignatureShare
@@ -28,19 +29,42 @@ from repro.tree.overlay import AggregationTree
 __all__ = ["TreeAggregator"]
 
 
+@dataclass(slots=True)
+class TreeRound(Round):
+    """A tree round.
+
+    A replica plays one role per block (root, internal node or leaf), but
+    the tree, the own share and the buffer are common to all three, so one
+    record holds every role's fields.
+    """
+
+    #: Built on first use with the block at hand (a buffered vote has none).
+    tree: Optional[AggregationTree] = None
+    #: This replica's vote; set once the proposal has been handled.
+    own_share: Optional[SignatureShare] = None
+    # Internal node: the children's verified shares, and whether they went up.
+    children_shares: Dict[int, SignatureShare] = field(default_factory=dict)
+    sent_up: bool = False
+    # Root: the contributions for the QC and the signers they cover.
+    contributions: List[Tuple[Any, int]] = field(default_factory=list)
+    included: Set[int] = field(default_factory=set)
+    # Iniva: the parent's ACK (a leaf's proof of inclusion) and the root's
+    # 2ND-CHANCE progress.
+    parent_ack: Optional[AggregateSignature] = None
+    second_chance_sent: bool = False
+    second_chance_expired: bool = False
+
+
 @register_aggregator
 class TreeAggregator(Aggregator):
     """Kauri-style tree aggregation; also the paper's Iniva-No2C variant."""
 
     name = "tree"
-
-    #: Subclasses (Iniva) flip this to enable ACK / 2ND-CHANCE handling.
-    uses_fallback_paths = False
+    round_type = TreeRound
 
     # -- dissemination ---------------------------------------------------------
     def disseminate(self, block: Block) -> None:
-        state = self._collection(block)
-        tree: AggregationTree = state["tree"]
+        tree = self._tree_round(block).tree
         message = ProposalMessage(block)
         # The proposer sends the block to the root (the next leader) and the
         # root's children (Figure 1-A of the paper).
@@ -50,31 +74,22 @@ class TreeAggregator(Aggregator):
         # The proposer also participates in its own tree role.
         self._on_proposal(block)
 
-    # -- message handling --------------------------------------------------------
-    def handle(self, sender: int, message: Any) -> bool:
-        if isinstance(message, ProposalMessage):
-            self._on_proposal(message.block)
-            return True
-        if isinstance(message, SignatureMessage):
-            self._on_signature(sender, message)
-            return True
-        return False
-
     # -- proposal path --------------------------------------------------------------
     def _on_proposal(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["proposal_handled"]:
+        state = self._tree_round(block)
+        if state.own_share is not None:
             return
         share = self.replica.process_proposal(block)
         if share is None:
             return
-        state["proposal_handled"] = True
-        state["own_share"] = share
-        tree: AggregationTree = state["tree"]
+        state.own_share = share
+        tree = state.tree
         pid = self.process_id
         if tree.is_root(pid):
             self._root_add_contribution(block, share, weight=1, source=pid)
-            self._start_root_timer(block)
+            self.replica.set_timer(
+                self.config.aggregation_timer(height=2), self._root_timeout, block
+            )
         elif tree.is_internal(pid):
             children = tree.children(pid)
             proposal = ProposalMessage(block)
@@ -88,19 +103,17 @@ class TreeAggregator(Aggregator):
             parent = tree.parent(pid)
             vote = SignatureMessage(block_id=block.block_id, view=block.view, signature=share)
             self.replica.send(parent, vote, size_bytes=vote.size_bytes)
-        self._drain_pending(block)
+        self._replay_pending(state)
 
     # -- signatures travelling up the tree ----------------------------------------------
-    def _on_signature(self, sender: int, message: SignatureMessage) -> None:
-        if self._is_done(message.block_id):
+    def _awaits_proposal(self, state: Optional[TreeRound]) -> bool:
+        return state is None or state.own_share is None
+
+    def _on_vote(self, sender: int, message: SignatureMessage) -> None:
+        block = self._vote_block(sender, message)
+        if block is None:
             return
-        block = self.replica.known_block(message.block_id)
-        state = self._state.get(message.block_id)
-        if block is None or state is None or not state["proposal_handled"]:
-            state = self._collection_by_id(message.block_id)
-            state["pending"].append((sender, message))
-            return
-        tree: AggregationTree = state["tree"]
+        tree = self._tree_round(block).tree
         pid = self.process_id
         if tree.is_root(pid):
             self._root_on_signature(block, sender, message.signature)
@@ -111,8 +124,8 @@ class TreeAggregator(Aggregator):
     def _internal_on_child_share(self, block: Block, sender: int, signature: Any) -> None:
         if not isinstance(signature, SignatureShare) or signature.signer != sender:
             return
-        state = self._collection(block)
-        if state["sent_up"]:
+        state = self._tree_round(block)
+        if state.sent_up:
             return
         self._trace_hot(
             "share_recv", block.view, block=block.block_id[:12], src=sender, role="internal"
@@ -120,37 +133,34 @@ class TreeAggregator(Aggregator):
         self.replica.consume_cpu(self.config.cpu_model.verify_share)
         if not self.committee.verify_share(signature, block.signing_payload()):
             return
-        state["children_shares"][sender] = signature
+        state.children_shares[sender] = signature
         self._internal_check_complete(block)
 
     def _internal_check_complete(self, block: Block) -> None:
-        state = self._collection(block)
-        tree: AggregationTree = state["tree"]
-        children = tree.children(self.process_id)
-        if len(state["children_shares"]) >= len(children):
+        state = self._tree_round(block)
+        children = state.tree.children(self.process_id)
+        if len(state.children_shares) >= len(children):
             self._internal_send_up(block)
 
     def _internal_timeout(self, block: Block) -> None:
         self._internal_send_up(block)
 
     def _internal_send_up(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["sent_up"] or state["own_share"] is None:
+        state = self._tree_round(block)
+        if state.sent_up or state.own_share is None:
             return
-        state["sent_up"] = True
-        tree: AggregationTree = state["tree"]
-        children_shares = dict(state["children_shares"])
+        state.sent_up = True
+        children_shares = dict(state.children_shares)
         # Iniva's multiplicity encoding: each aggregated child twice, plus one
         # extra copy of the parent's own signature per aggregated child.
-        contributions = [(state["own_share"], 1 + len(children_shares))]
+        contributions = [(state.own_share, 1 + len(children_shares))]
         contributions.extend((share, 2) for share in children_shares.values())
         self.replica.consume_cpu(
             self.config.cpu_model.aggregate_per_share * (len(children_shares) + 1)
         )
         aggregate = self.scheme.aggregate(contributions)
-        state["internal_aggregate"] = aggregate
         vote = SignatureMessage(block_id=block.block_id, view=block.view, signature=aggregate)
-        self.replica.send(tree.root, vote, size_bytes=vote.size_bytes)
+        self.replica.send(state.tree.root, vote, size_bytes=vote.size_bytes)
         self._after_internal_send(block, aggregate, sorted(children_shares))
 
     def _after_internal_send(
@@ -159,18 +169,9 @@ class TreeAggregator(Aggregator):
         """Hook for Iniva: send ACKs to the aggregated children."""
 
     # -- root behaviour ------------------------------------------------------------------------
-    def _start_root_timer(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["root_timer_started"]:
-            return
-        state["root_timer_started"] = True
-        self.replica.set_timer(
-            self.config.aggregation_timer(height=2), self._root_timeout, block
-        )
-
     def _root_on_signature(self, block: Block, sender: int, signature: Any) -> None:
-        state = self._collection(block)
-        if state["done"]:
+        state = self._tree_round(block)
+        if state.done:
             return
         self._trace_hot(
             "share_recv",
@@ -180,7 +181,7 @@ class TreeAggregator(Aggregator):
             role="root",
             kind="aggregate" if isinstance(signature, AggregateSignature) else "share",
         )
-        tree: AggregationTree = state["tree"]
+        tree = state.tree
         if isinstance(signature, AggregateSignature):
             if sender not in tree.internal_nodes:
                 return
@@ -199,36 +200,35 @@ class TreeAggregator(Aggregator):
             self._root_add_contribution(block, signature, weight=1, source=sender)
 
     def _root_add_contribution(self, block: Block, contribution: Any, weight: int, source: int) -> None:
-        state = self._collection(block)
-        if state["done"]:
+        state = self._tree_round(block)
+        if state.done:
             return
         signers = (
             contribution.signers
             if isinstance(contribution, AggregateSignature)
             else frozenset({contribution.signer})
         )
-        if signers & state["included"]:
+        if signers & state.included:
             # Indivisible aggregates cannot be decomposed, so overlapping
             # contributions are skipped rather than double-counted.
             return
-        state["contributions"].append((contribution, weight))
-        state["included"] |= signers
-        state["sources"].add(source)
+        state.contributions.append((contribution, weight))
+        state.included |= signers
         self._trace_hot(
             "share_verified",
             block.view,
             block=block.block_id[:12],
             src=source,
             signers=len(signers),
-            included=len(state["included"]),
+            included=len(state.included),
         )
         self._root_check_progress(block)
 
     def _root_check_progress(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["done"]:
+        state = self._tree_round(block)
+        if state.done:
             return
-        included = len(state["included"])
+        included = len(state.included)
         if included >= self.config.committee_size:
             self._root_finalise(block)
         elif included >= self.config.quorum_size:
@@ -239,19 +239,19 @@ class TreeAggregator(Aggregator):
         self._root_finalise(block)
 
     def _root_timeout(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["done"]:
+        state = self._tree_round(block)
+        if state.done:
             return
-        if len(state["included"]) >= self.config.quorum_size:
+        if len(state.included) >= self.config.quorum_size:
             self._root_on_quorum(block)
         # Below quorum there is nothing the aggregation layer can do; the
         # pacemaker's view timeout will eventually fail the view.
 
     def _root_finalise(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["done"] or len(state["included"]) < self.config.quorum_size:
+        state = self._tree_round(block)
+        if state.done or len(state.included) < self.config.quorum_size:
             return
-        contributions = state["contributions"]
+        contributions = state.contributions
         self.replica.consume_cpu(self.config.cpu_model.aggregate_per_share * len(contributions))
         aggregate = self.scheme.aggregate(contributions)
         self._finalise(block, aggregate)
@@ -266,40 +266,9 @@ class TreeAggregator(Aggregator):
         """
         return self.replica.build_tree(block)
 
-    def _collection(self, block: Block) -> Dict[str, Any]:
-        state = self._collection_by_id(block.block_id)
-        if state["tree"] is None:
-            state["tree"] = self._build_tree(block)
-            state["block"] = block
+    def _tree_round(self, block: Block) -> TreeRound:
+        """The round for ``block``, with its tree built."""
+        state = self._round(block.block_id)
+        if state.tree is None:
+            state.tree = self._build_tree(block)
         return state
-
-    def _collection_by_id(self, block_id: str) -> Dict[str, Any]:
-        state = self._state.get(block_id)
-        if state is None:
-            state = {
-                "tree": None,
-                "block": None,
-                "own_share": None,
-                "proposal_handled": False,
-                "children_shares": {},
-                "internal_aggregate": None,
-                "sent_up": False,
-                "contributions": [],
-                "included": set(),
-                "sources": set(),
-                "pending": [],
-                "root_timer_started": False,
-                "done": False,
-                "parent_ack": None,
-                "second_chance_sent": False,
-                "second_chance_expired": False,
-            }
-            self._state[block_id] = state
-            self._prune()
-        return state
-
-    def _drain_pending(self, block: Block) -> None:
-        state = self._collection(block)
-        pending, state["pending"] = state["pending"], []
-        for sender, message in pending:
-            self.handle(sender, message)

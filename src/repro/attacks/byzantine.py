@@ -52,28 +52,27 @@ class OmittingInivaAggregator(InivaAggregator):
 
     # -- internal node behaviour --------------------------------------------
     def _internal_send_up(self, block: Block) -> None:
-        state = self._collection(block)
-        state["children_shares"].pop(self.victim, None)
+        self._tree_round(block).children_shares.pop(self.victim, None)
         super()._internal_send_up(block)
 
     # -- collector behaviour ---------------------------------------------------
     def _send_second_chances(self, block: Block) -> None:
         from repro.aggregation.messages import SecondChanceMessage
 
-        state = self._collection(block)
-        if state["done"] or state["second_chance_sent"]:
+        state = self._tree_round(block)
+        if state.done or state.second_chance_sent:
             return
-        state["second_chance_sent"] = True
+        state.second_chance_sent = True
         missing = [
             pid
             for pid in range(self.config.committee_size)
-            if pid not in state["included"] and pid != self.victim
+            if pid not in state.included and pid != self.victim
         ]
         if not missing:
             # Everyone except (possibly) the victim is in: finalise without it.
             self._root_finalise(block)
             return
-        proof = self.scheme.aggregate(state["contributions"]) if state["contributions"] else None
+        proof = self.scheme.aggregate(state.contributions) if state.contributions else None
         message = SecondChanceMessage(block=block, proof=proof)
         self.replica.multicast(missing, message, size_bytes=message.size_bytes)
         self.replica.set_timer(
@@ -81,8 +80,7 @@ class OmittingInivaAggregator(InivaAggregator):
         )
 
     def _root_add_contribution(self, block: Block, contribution, weight: int, source: int) -> None:
-        tree = self._collection(block)["tree"]
-        if tree.is_root(self.process_id):
+        if self._tree_round(block).tree.is_root(self.process_id):
             signers = (
                 contribution.signers
                 if isinstance(contribution, AggregateSignature)

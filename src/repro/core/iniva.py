@@ -30,10 +30,9 @@ from repro.aggregation.messages import (
     SecondChanceMessage,
     SecondChanceReply,
 )
-from repro.aggregation.tree_agg import TreeAggregator
+from repro.aggregation.tree_agg import TreeAggregator, TreeRound
 from repro.consensus.block import Block
 from repro.crypto.multisig import AggregateSignature, SignatureShare
-from repro.tree.overlay import AggregationTree
 
 __all__ = ["InivaAggregator"]
 
@@ -43,7 +42,6 @@ class InivaAggregator(TreeAggregator):
     """Tree aggregation with ACK confirmations and 2ND-CHANCE fallback."""
 
     name = "iniva"
-    uses_fallback_paths = True
 
     # -- message handling -------------------------------------------------------
     def handle(self, sender: int, message: Any) -> bool:
@@ -67,10 +65,10 @@ class InivaAggregator(TreeAggregator):
 
     # -- child: store the parent's ack as proof of inclusion ------------------------
     def _on_ack(self, sender: int, message: AckMessage) -> None:
-        state = self._state.get(message.block_id)
-        if state is None or state["tree"] is None:
+        state = self._rounds.get(message.block_id)
+        if state is None or state.tree is None:
             return
-        tree: AggregationTree = state["tree"]
+        tree = state.tree
         if tree.is_root(self.process_id):
             return
         if tree.parent(self.process_id) != sender:
@@ -83,35 +81,35 @@ class InivaAggregator(TreeAggregator):
         # The ack is stored without an eager pairing check: it is only ever
         # replayed to the root, which verifies it before inclusion, so a bad
         # ack cannot do damage and the common case saves a verification.
-        state["parent_ack"] = aggregate
+        state.parent_ack = aggregate
 
     # -- root: quorum / timeout → give missing processes a second chance --------------
     def _root_on_quorum(self, block: Block) -> None:
-        state = self._collection(block)
-        if not state["second_chance_sent"]:
+        state = self._tree_round(block)
+        if not state.second_chance_sent:
             self._send_second_chances(block)
-        elif state.get("second_chance_expired"):
+        elif state.second_chance_expired:
             # The fallback window is over and we (now) hold a quorum:
             # finalise with whatever arrived late.
             self._root_finalise(block)
 
     def _root_timeout(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["done"]:
+        state = self._tree_round(block)
+        if state.done:
             return
         # Unlike the plain tree, Iniva also falls back below quorum: the
         # 2ND-CHANCE replies may be what completes the quorum.
         self._send_second_chances(block)
 
     def _send_second_chances(self, block: Block) -> None:
-        state = self._collection(block)
-        if state["done"] or state["second_chance_sent"]:
+        state = self._tree_round(block)
+        if state.done or state.second_chance_sent:
             return
-        state["second_chance_sent"] = True
+        state.second_chance_sent = True
         missing = [
             pid
             for pid in range(self.config.committee_size)
-            if pid not in state["included"]
+            if pid not in state.included
         ]
         if not missing:
             self._root_finalise(block)
@@ -126,8 +124,8 @@ class InivaAggregator(TreeAggregator):
             missing=missing,
         )
         proof = None
-        if state["contributions"]:
-            proof = self.scheme.aggregate(state["contributions"])
+        if state.contributions:
+            proof = self.scheme.aggregate(state.contributions)
         message = SecondChanceMessage(block=block, proof=proof)
         self.replica.multicast(missing, message, size_bytes=message.size_bytes)
         self.replica.set_timer(
@@ -135,42 +133,42 @@ class InivaAggregator(TreeAggregator):
         )
 
     def _second_chance_timeout(self, block: Block) -> None:
-        state = self._collection(block)
-        state["second_chance_expired"] = True
-        if state["done"]:
+        state = self._tree_round(block)
+        state.second_chance_expired = True
+        if state.done:
             return
         self._root_finalise(block)
 
     # -- recipient of a 2ND-CHANCE ------------------------------------------------------
     def _on_second_chance(self, sender: int, message: SecondChanceMessage) -> None:
         block = message.block
-        state = self._collection(block)
-        tree: AggregationTree = state["tree"]
-        if sender != tree.root:
+        # Only the block's collector may ask; anything else must not touch
+        # (or, through pruning, evict) this replica's rounds.
+        if sender != self.replica.collector_for(block):
             return
+        state = self._tree_round(block)
         if not self._second_chance_is_valid(message, state):
             return
-        if not state["proposal_handled"]:
+        if state.own_share is None:
             # The block never reached us through the tree: deliver it now
             # (Algorithm 1, lines 34-37).
             share = self.replica.process_proposal(block)
             if share is None:
                 return
-            state["proposal_handled"] = True
-            state["own_share"] = share
+            state.own_share = share
         reply_signature: Union[SignatureShare, AggregateSignature]
-        if state["parent_ack"] is not None:
+        if state.parent_ack is not None:
             # Reply with the parent's aggregate so the collector cannot use the
             # 2ND-CHANCE path to strip our siblings out of the certificate.
-            reply_signature = state["parent_ack"]
+            reply_signature = state.parent_ack
         else:
-            reply_signature = state["own_share"]
+            reply_signature = state.own_share
         reply = SecondChanceReply(
             block_id=block.block_id, view=block.view, signature=reply_signature
         )
         self.replica.send(sender, reply, size_bytes=reply.size_bytes)
 
-    def _second_chance_is_valid(self, message: SecondChanceMessage, state: dict) -> bool:
+    def _second_chance_is_valid(self, message: SecondChanceMessage, state: TreeRound) -> bool:
         """The ``isValid`` predicate of Algorithm 1 (line 33)."""
         proof = message.proof
         if proof is not None:
@@ -180,7 +178,7 @@ class InivaAggregator(TreeAggregator):
                 return False
             if len(proof.signers) >= self.config.quorum_size:
                 return True
-            tree: AggregationTree = state["tree"]
+            tree = state.tree
             parent = tree.parent(self.process_id) if not tree.is_root(self.process_id) else None
             if parent is not None and parent in proof:
                 return True
@@ -193,11 +191,10 @@ class InivaAggregator(TreeAggregator):
         if self._is_done(message.block_id):
             return
         block = self.replica.known_block(message.block_id)
-        state = self._state.get(message.block_id)
-        if block is None or state is None or state["tree"] is None:
+        state = self._rounds.get(message.block_id)
+        if block is None or state is None or state.tree is None:
             return
-        tree: AggregationTree = state["tree"]
-        if not tree.is_root(self.process_id):
+        if not state.tree.is_root(self.process_id):
             return
         signature = message.signature
         if isinstance(signature, SignatureShare):
@@ -214,9 +211,9 @@ class InivaAggregator(TreeAggregator):
                 return
         else:
             return
-        included_before = len(state["included"])
+        included_before = len(state.included)
         self._root_add_contribution(block, signature, weight=1, source=sender)
-        added = len(state["included"]) - included_before
+        added = len(state.included) - included_before
         if added > 0:
             self.replica.metrics.record_second_chance_inclusion(added)
             self._trace(

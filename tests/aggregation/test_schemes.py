@@ -13,7 +13,7 @@ from repro.aggregation.messages import (
 )
 from repro.aggregation.star import StarAggregator
 from repro.aggregation.tree_agg import TreeAggregator
-from repro.consensus.block import genesis_block, genesis_qc
+from repro.consensus.block import GENESIS_ID, Block, genesis_block, genesis_qc
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.mempool import Mempool
 from repro.consensus.replica import HotStuffReplica
@@ -24,6 +24,8 @@ from repro.crypto.multisig import AggregateSignature, SignatureShare
 from repro.experiments.runner import build_deployment
 from repro.simnet.events import Simulator
 from repro.simnet.network import Network
+
+SCHEMES = ["star", "tree", "iniva", "kauri", "gosig", "handel"]
 
 
 def make_replica(aggregation="iniva"):
@@ -42,12 +44,10 @@ class TestRegistry:
     def test_tree_registered(self):
         replica = make_replica("tree")
         assert isinstance(replica.aggregator, TreeAggregator)
-        assert not replica.aggregator.uses_fallback_paths
 
     def test_iniva_registered(self):
         replica = make_replica("iniva")
         assert isinstance(replica.aggregator, InivaAggregator)
-        assert replica.aggregator.uses_fallback_paths
 
     def test_unknown_scheme_raises(self):
         replica = make_replica("star")
@@ -86,17 +86,41 @@ class TestMessages:
             message.view = 2
 
 
+def view_one_block(deployment):
+    """The first block of the chain, as view 1's leader would propose it."""
+    return Block(
+        height=1,
+        view=1,
+        proposer=deployment.replicas[0].leader_of(1),
+        parent_id=GENESIS_ID,
+        qc=genesis_qc(),
+    )
+
+
+def counted_signers(state):
+    """The signers a collector's round has folded in so far."""
+    if hasattr(state, "shares"):  # star
+        return set(state.shares)
+    if hasattr(state, "included"):  # tree, iniva, kauri
+        return set(state.included)
+    return set(state.aggregate.signers)  # gosig, handel
+
+
 class TestAggregatorStateHandling:
     def test_unknown_message_type_not_consumed(self):
         replica = make_replica("star")
         assert replica.aggregator.handle(1, "not a protocol message") is False
 
-    def test_state_pruned(self):
-        replica = make_replica("star")
-        aggregator = replica.aggregator
+    @pytest.mark.parametrize("aggregation", SCHEMES)
+    def test_rounds_pruned(self, aggregation):
+        deployment = build_deployment(ConsensusConfig(committee_size=7, aggregation=aggregation))
+        aggregator = deployment.replicas[0].aggregator
+        share = deployment.committee.sign(1, b"whatever")
         for index in range(200):
-            aggregator._collection(f"block-{index}")
-        assert len(aggregator._state) <= 65
+            vote = SignatureMessage(block_id=f"block-{index}", view=1, signature=share)
+            assert aggregator.handle(1, vote) is True
+        assert len(aggregator._rounds) == 64
+        assert "block-199" in aggregator._rounds and "block-0" not in aggregator._rounds
 
     def test_iniva_ignores_ack_from_non_parent(self):
         deployment = build_deployment(ConsensusConfig(committee_size=7, aggregation="iniva"))
@@ -104,12 +128,46 @@ class TestAggregatorStateHandling:
         ack = AckMessage(block_id="nonexistent", view=1, aggregate=AggregateSignature(b"x", {0: 1}))
         # Handled (it is an Iniva message type) but must not crash or store state.
         assert replica.aggregator.handle(3, ack) is True
-        assert replica.aggregator._state.get("nonexistent") is None
+        assert replica.aggregator._rounds.get("nonexistent") is None
 
-    def test_star_buffers_votes_arriving_before_proposal(self):
-        deployment = build_deployment(ConsensusConfig(committee_size=7, aggregation="star"))
-        replica = deployment.replicas[0]
-        share = deployment.committee.sign(1, b"whatever")
-        vote = SignatureMessage(block_id="future-block", view=1, signature=share)
-        assert replica.aggregator.handle(1, vote) is True
-        assert replica.aggregator._state["future-block"]["pending"]
+    @pytest.mark.parametrize("aggregation", SCHEMES)
+    def test_overtaking_vote_folded_in(self, aggregation):
+        deployment = build_deployment(ConsensusConfig(committee_size=7, aggregation=aggregation))
+        block = view_one_block(deployment)
+        collector = deployment.replicas[0].collector_for(block)
+        aggregator = deployment.replicas[collector].aggregator
+        if isinstance(aggregator, TreeAggregator):
+            # The root takes individual shares only from its own children.
+            tree = aggregator._build_tree(block)
+            sender = tree.children(tree.root)[0]
+        else:
+            sender = next(pid for pid in range(7) if pid not in (collector, block.proposer))
+        share = deployment.committee.sign(sender, block.signing_payload())
+        vote = SignatureMessage(block_id=block.block_id, view=block.view, signature=share)
+
+        assert aggregator.handle(sender, vote) is True
+        state = aggregator._rounds[block.block_id]
+        assert state.pending == [(sender, vote)]
+
+        assert aggregator.handle(block.proposer, ProposalMessage(block)) is True
+        assert state.pending == []
+        assert counted_signers(state) == {collector, sender}
+
+    def test_second_chance_from_non_collector_touches_no_state(self, monkeypatch):
+        deployment = build_deployment(ConsensusConfig(committee_size=7, aggregation="iniva"))
+        block = view_one_block(deployment)
+        collector = deployment.replicas[0].collector_for(block)
+        replica = next(r for r in deployment.replicas if r.process_id != collector)
+        forger = next(pid for pid in range(7) if pid not in (collector, replica.process_id))
+        builds = []
+        build_tree = replica.build_tree
+        monkeypatch.setattr(replica, "build_tree", lambda b: builds.append(b) or build_tree(b))
+        request = SecondChanceMessage(block=block, proof=None)
+
+        assert replica.aggregator.handle(forger, request) is True
+        assert replica.aggregator._rounds.get(block.block_id) is None
+        assert builds == []
+        # The collector's own request does open the round.
+        assert replica.aggregator.handle(collector, request) is True
+        assert block.block_id in replica.aggregator._rounds
+        assert builds == [block]
