@@ -68,7 +68,7 @@ class ChaosDriver:
         """Arm every timer-driven fault; call once, at protocol start.
 
         Times in the plan are seconds since protocol start, which is what
-        the runtime clock reports, so scheduling is a plain ``call_at``.
+        the runtime clock reports, so scheduling is a plain ``set_timer``.
         """
         runtime = self.node.runtime
         now = runtime.now

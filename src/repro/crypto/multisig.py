@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Dict, Iterable, List, Mapping, Set, Tuple, Union
 
 __all__ = [
@@ -263,11 +264,17 @@ class HashSigMultiSig(MultiSignatureScheme):
     #: few blocks' aggregates, so it is kept small: an entry pins a whole
     #: multiplicity map.
     AGGREGATE_CACHE_MAX = 256
+    #: Bound on the share-value and public-key memos; cleared when full.
+    MEMO_MAX = 65536
 
     def __init__(self, domain: bytes = b"iniva-hashsig") -> None:
         self._domain = domain
         self._share_cache: Dict[Tuple[bytes, bytes], int] = {}
+        self._public_of: Dict[bytes, bytes] = {}
         self._aggregate_cache: Set[Tuple[Any, ...]] = set()
+        # (aggregate, message, public_keys, memo key) of the last lookup:
+        # every replica of a process checks the same QC object in turn.
+        self._last_key: Tuple[Any, ...] = (None, None, None, None)
 
     # -- key management ----------------------------------------------------
     def keygen(self, seed: int) -> "KeyPair":
@@ -284,13 +291,18 @@ class HashSigMultiSig(MultiSignatureScheme):
         if value is None:
             digest = hashlib.sha256(self._domain + b"|share|" + public_key + b"|" + message)
             value = int.from_bytes(digest.digest(), "big") % self._MODULUS
-            if len(self._share_cache) >= 65536:
+            if len(self._share_cache) >= self.MEMO_MAX:
                 self._share_cache.clear()
             self._share_cache[key] = value
         return value
 
     def sign(self, secret_key: bytes, message: bytes, signer: int) -> SignatureShare:
-        public = hashlib.sha256(self._domain + b"|pk|" + secret_key).digest()
+        public = self._public_of.get(secret_key)
+        if public is None:
+            public = hashlib.sha256(self._domain + b"|pk|" + secret_key).digest()
+            if len(self._public_of) >= self.MEMO_MAX:
+                self._public_of.clear()
+            self._public_of[secret_key] = public
         return SignatureShare(signer=signer, value=self._share_value(public, message))
 
     def verify_share(self, share: SignatureShare, message: bytes, public_key: bytes) -> bool:
@@ -328,9 +340,20 @@ class HashSigMultiSig(MultiSignatureScheme):
         key each named signer is bound to (``None`` for a stranger) — so
         a forged value under honest multiplicities, another message or
         another committee's keys can never hit a verified entry.
+
+        The last key is reused when the same frozen aggregate comes back
+        with the same message and the same *read-only* registry object
+        (``Committee.public_keys()``); a plain dict may have been edited
+        in place since, so it is always re-read.
         """
+        last = self._last_key
+        if last[0] is aggregate and last[2] is public_keys and last[1] == message:
+            return last[3]
         ids, entries = aggregate.claim
-        return (message, aggregate.value.accumulator, entries, tuple(map(public_keys.get, ids)))
+        key = (message, aggregate.value.accumulator, entries, tuple(map(public_keys.get, ids)))
+        if type(public_keys) is MappingProxyType:
+            self._last_key = (aggregate, message, public_keys, key)
+        return key
 
     def _remember_verified(self, cache_key: Tuple[Any, ...]) -> None:
         if len(self._aggregate_cache) >= self.AGGREGATE_CACHE_MAX:

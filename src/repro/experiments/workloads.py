@@ -98,9 +98,7 @@ class ClientWorkload:
             if time >= duration:
                 break
             client_id = scheduled % max(self.num_clients, 1)
-            simulator.schedule_at(
-                time, self._submit, mempool, time, client_id
-            )
+            simulator.post_at(time, self._submit, mempool, time, client_id)
             scheduled += 1
         return scheduled
 

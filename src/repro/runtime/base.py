@@ -106,8 +106,15 @@ class Runtime(Clock, Transport):
         """Run ``callback(*args)`` after ``delay`` seconds; cancellable."""
 
     @abstractmethod
-    def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> TimerHandle:
-        """Run ``callback(*args)`` at absolute time ``time`` (>= now)."""
+    def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute time ``time`` (>= now).
+
+        Fire-and-forget: nothing is returned, so nothing can be cancelled
+        (use :meth:`set_timer` for that).  Its caller is the CPU model's
+        backlog re-delivery, a large share of a simulated run's events;
+        under the sim runtime each one is a single heap tuple, with no
+        handle object made for it.
+        """
 
     def spawn(self, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` as soon as possible (next tick)."""

@@ -257,8 +257,8 @@ class LiveRuntime(Runtime):
         loop = self._node.loop
         return _LiveTimer(loop.call_later(max(delay, 0.0), callback, *args))
 
-    def call_at(self, when: float, callback: Callable[..., None], *args: Any) -> TimerHandle:
-        return self.set_timer(when - self.now, callback, *args)
+    def call_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
+        self._node.loop.call_later(max(when - self.now, 0.0), callback, *args)
 
     def counters(self) -> Dict[str, int]:
         return dict(self._node.counters)

@@ -44,7 +44,7 @@ class SimRuntime(Runtime):
     # -- clock ---------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.simulator.now
+        return self.simulator._now  # read on every delivery: skip the property
 
     # -- transport -----------------------------------------------------------
     def register(self, process: Any) -> None:
@@ -63,5 +63,5 @@ class SimRuntime(Runtime):
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> TimerHandle:
         return self.simulator.schedule(delay, callback, *args)
 
-    def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> TimerHandle:
-        return self.simulator.schedule_at(time, callback, *args)
+    def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        self.simulator.post_at(time, callback, *args)

@@ -139,28 +139,32 @@ class Network:
         # live runtime, whose self-sends bypass the chaos pipeline.
         # (Delivery still goes through the event queue: never re-entrant.)
         if src != dst:
-            if self._partitioned(src, dst) or (src, dst) in self._blocked_links:
-                self.messages_blocked += 1
-                self._count_drop(src)
-                return
-            if any(rule(src, dst, message) for rule in self._drop_rules):
-                self._count_drop(src)
-                return
+            # Fault-free fast path: with no partition, cut link or drop
+            # rule configured there is nothing to check.
+            if self._partitions or self._blocked_links or self._drop_rules:
+                if self._partitioned(src, dst) or (src, dst) in self._blocked_links:
+                    self.messages_blocked += 1
+                    self._count_drop(src)
+                    return
+                if any(rule(src, dst, message) for rule in self._drop_rules):
+                    self._count_drop(src)
+                    return
             if self.loss_probability and self.rng.random() < self.loss_probability:
                 self._count_drop(src)
                 return
+        # Sampled for self-sends too: one latency draw per delivered message.
         delay = self.latency_model.sample(self.rng, src, dst)
         if self.bandwidth and size_bytes:
             delay += size_bytes / self.bandwidth
-        if self.link_bandwidth is not None and src != dst:
+        if src == dst:
+            delay = 0.0
+        elif self.link_bandwidth is not None:
             delay += self.link_bandwidth.transmission_delay(
                 src, dst, size_bytes, self.simulator.now
             )
-        if src == dst:
-            delay = 0.0
         if delay > 0:
             self._delayed_by[src] = self._delayed_by.get(src, 0) + 1
-        self.simulator.schedule(delay, self._finalise_delivery, src, dst, message)
+        self.simulator.post(delay, self._finalise_delivery, src, dst, message)
 
     def _count_drop(self, src: int) -> None:
         self.messages_dropped += 1

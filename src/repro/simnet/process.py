@@ -124,6 +124,9 @@ class Process:
         self.recovered_at: Optional[float] = None
         self.busy_time = 0.0
         self._cpu_available_at = 0.0
+        # A runtime either models CPU or it does not; read once, not per
+        # delivery and per charge.
+        self._models_cpu = runtime.models_cpu
         runtime.register(self)
 
     # -- clock ---------------------------------------------------------------
@@ -171,10 +174,10 @@ class Process:
         """
         if self.crashed:
             return
-        if self.runtime.models_cpu:
-            now = self.runtime.now
-            if now < self._cpu_available_at:
-                self.runtime.call_at(self._cpu_available_at, self._deliver, sender, message)
+        if self._models_cpu:
+            available = self._cpu_available_at
+            if self.runtime.now < available:
+                self.runtime.call_at(available, self._deliver, sender, message)
                 return
         self.on_message(sender, message)
 
@@ -193,9 +196,11 @@ class Process:
         if seconds <= 0:
             return
         self.busy_time += seconds
-        if self.runtime.models_cpu:
-            start = max(self.runtime.now, self._cpu_available_at)
-            self._cpu_available_at = start + seconds
+        if self._models_cpu:
+            now = self.runtime.now
+            available = self._cpu_available_at
+            # max(now, available) + seconds, without the builtin call.
+            self._cpu_available_at = (available if available > now else now) + seconds
 
     def cpu_utilisation(self, elapsed: float) -> float:
         """Fraction of wall-clock (virtual) time this process was busy."""
@@ -206,12 +211,11 @@ class Process:
     # -- timers ---------------------------------------------------------------
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback`` after ``delay`` seconds unless crashed by then."""
+        return Timer(self.runtime.set_timer(delay, self._fire, callback, args))
 
-        def fire() -> None:
-            if not self.crashed:
-                callback(*args)
-
-        return Timer(self.runtime.set_timer(delay, fire))
+    def _fire(self, callback: Callable[..., None], args: tuple) -> None:
+        if not self.crashed:
+            callback(*args)
 
     # -- fault injection --------------------------------------------------------
     def crash(self) -> None:

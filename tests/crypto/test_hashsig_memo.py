@@ -8,6 +8,8 @@ verifications are recorded; the memo is bounded.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.crypto.keys import Committee
@@ -109,6 +111,36 @@ def test_same_value_under_other_keys_misses():
     rebound = {**first.public_keys(), 2: second.public_key(2)}
     assert not scheme.verify_aggregate(aggregate, MESSAGE, rebound)
     assert scheme.verify_aggregate(aggregate, MESSAGE, dict(first.public_keys()))
+
+
+def test_a_key_dict_edited_in_place_is_read_again():
+    # The last-key shortcut serves only the read-only committee registry:
+    # a plain dict handed in twice may hold another key the second time.
+    scheme = HashSigMultiSig()
+    first = Committee(scheme, size=6, seed=5)
+    aggregate = _aggregate(first)
+    keys = dict(first.public_keys())
+    assert scheme.verify_aggregate(aggregate, MESSAGE, keys)
+    keys[2] = Committee(scheme, size=6, seed=6).public_key(2)
+    assert not scheme.verify_aggregate(aggregate, MESSAGE, keys)
+    # The registry object itself is reused across calls and keeps hitting.
+    assert first.verify_aggregate(aggregate, MESSAGE)
+    assert scheme._last_key[0] is aggregate
+    assert first.verify_aggregate(aggregate, MESSAGE)
+
+
+def test_sign_derives_each_public_key_once(monkeypatch):
+    scheme = HashSigMultiSig()
+    pair = scheme.keygen(3)
+    first = scheme.sign(pair.secret_key, b"m1", 3)
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    second = scheme.sign(pair.secret_key, b"m2", 3)
+    assert len(calls) == 1  # the share value; the public key came from the memo
+    for message, share in ((b"m1", first), (b"m2", second)):
+        assert share == HashSigMultiSig().sign(pair.secret_key, message, 3)
+        assert scheme.verify_share(share, message, pair.public_key)
 
 
 def test_failure_is_never_served_as_success(committee, monkeypatch):
