@@ -7,8 +7,8 @@ until the timeout or aborted it with ``RuntimeError`` — the one failure
 mode a robustness paper's harness should not have.
 
 :class:`WorkerSupervisor` replaces that with a poll loop over
-:class:`SupervisedWorker` handles (each a ``Popen`` drained by a daemon
-thread, so a chatty worker can never deadlock on a full stdout pipe):
+:class:`SupervisedWorker` handles (each a ``Popen`` drained by daemon
+threads, so a chatty worker can never deadlock on a full stdout pipe):
 
 * a worker exiting non-zero before the deadline is **restarted** per the
   :class:`RestartPolicy` — bounded attempts, linear backoff — and the
@@ -22,7 +22,8 @@ thread, so a chatty worker can never deadlock on a full stdout pipe):
 The supervisor is deliberately ignorant of *what* it supervises — it
 sees only a spawn callback ``(pids, attempt) -> SupervisedWorker`` — so
 tests can drive it with fake subprocesses and the cluster can inject the
-real worker command line, port map and start epoch through a closure.
+real worker command line, port map and control-line handler through a
+closure.
 """
 
 from __future__ import annotations
@@ -58,30 +59,75 @@ class RestartPolicy:
 
 
 class SupervisedWorker:
-    """One worker subprocess plus the thread draining its pipes.
+    """One worker subprocess plus the threads draining its pipes.
 
-    ``communicate()`` runs on a daemon thread from birth, so the worker
-    can write megabytes of summaries without anyone deadlocking on the
-    64KB pipe buffer; the supervisor polls :meth:`done` instead of
-    blocking.
+    stdout and stderr are drained on daemon threads from birth, so the
+    worker can write megabytes of summaries without anyone deadlocking
+    on the 64KB pipe buffer; the supervisor polls :meth:`done` instead of
+    blocking.  stdout is read line by line: each line is first offered
+    to ``on_line(worker, line)`` (newline stripped), and a line the
+    callback consumes — it returns true — is a control line that never
+    reaches :attr:`out`.  What the lines mean is the callback's business.
+    A piped stdin stays open for :meth:`send` until stdout closes.
     """
 
-    def __init__(self, pids: Sequence[int], proc: subprocess.Popen) -> None:
+    def __init__(
+        self,
+        pids: Sequence[int],
+        proc: subprocess.Popen,
+        on_line: Optional[Callable[["SupervisedWorker", str], bool]] = None,
+    ) -> None:
         self.pids = list(pids)
         self.proc = proc
         self.out: str = ""
         self.err: str = ""
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
+        self._on_line = on_line
+        self._stdin_lock = threading.Lock()
+        self._threads = [
+            threading.Thread(target=self._drain_out, daemon=True),
+            threading.Thread(target=self._drain_err, daemon=True),
+        ]
+        for thread in self._threads:
+            thread.start()
 
-    def _drain(self) -> None:
-        out, err = self.proc.communicate()
-        self.out = out or ""
-        self.err = err or ""
+    def _drain_out(self) -> None:
+        lines: List[str] = []
+        if self.proc.stdout is not None:
+            for line in self.proc.stdout:
+                if self._on_line is None or not self._on_line(self, line.rstrip("\n")):
+                    lines.append(line)
+            self.proc.stdout.close()
+        self.out = "".join(lines)
+        with self._stdin_lock:
+            if self.proc.stdin is not None:
+                try:
+                    self.proc.stdin.close()
+                except OSError:  # unflushed bytes to a dead reader
+                    pass
+        self.proc.wait()
+
+    def _drain_err(self) -> None:
+        if self.proc.stderr is not None:
+            self.err = self.proc.stderr.read()
+            self.proc.stderr.close()
+
+    def send(self, line: str) -> None:
+        """Write one line to the worker's stdin; a no-op once it is gone."""
+        with self._stdin_lock:
+            stdin = self.proc.stdin
+            if stdin is None or stdin.closed:
+                return
+            try:
+                stdin.write(line + "\n")
+                stdin.flush()
+            except OSError:  # the worker exited or closed its end
+                pass
 
     def done(self) -> bool:
         """Exited *and* fully drained (out/err are complete)."""
-        return self.proc.poll() is not None and not self._thread.is_alive()
+        return self.proc.poll() is not None and not any(
+            thread.is_alive() for thread in self._threads
+        )
 
     @property
     def returncode(self) -> Optional[int]:
@@ -94,7 +140,8 @@ class SupervisedWorker:
             pass
 
     def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout)
+        for thread in self._threads:
+            thread.join(timeout)
 
 
 class WorkerSupervisor:
@@ -103,8 +150,7 @@ class WorkerSupervisor:
     Args:
         spawn: ``(pids, attempt) -> SupervisedWorker``.  ``attempt`` is 0
             for the initial launch and ``k`` for the ``k``-th restart, so
-            the callback can rebase the start epoch and shrink the serve
-            window for late joiners (and mark them for cold-start sync).
+            the callback can mark late joiners for cold-start sync.
         policy: Restart budget and backoff.
         poll_interval: Seconds between liveness sweeps.
     """

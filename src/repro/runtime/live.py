@@ -26,7 +26,10 @@ Two deployment shapes:
 * **``procs`` mode**: replicas are spread over worker subprocesses
   (``python -m repro.runtime.live_worker``), each hosting a slice of the
   committee in its own loop; cross-worker traffic flows over localhost
-  TCP through the worker-pair sessions.
+  TCP through the worker-pair sessions.  The parent is the fleet's start
+  and stop switch (:class:`ClusterSwitch`): it starts every worker on
+  one shared epoch once the last reports ready, and relays the first
+  worker's stop to the rest.
 
 Client traffic (see :mod:`repro.clients`): by default a run is driven by
 an **open-loop client swarm** — asyncio client tasks (sharded across the
@@ -79,9 +82,10 @@ import logging
 import socket
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chaos.driver import ChaosDriver
 from repro.chaos.plan import ChaosPlan, compile_chaos_plan
@@ -124,6 +128,15 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.runtime.live")
+
+#: The ``--procs`` control lines (documented in
+#: :mod:`repro.runtime.live_worker`): a worker writes ``ready`` and
+#: ``stop`` on stdout, the parent writes ``start <epoch>`` and ``stop``
+#: on the worker's stdin.
+READY, START, STOP = "ready", "start", "stop"
+#: Seconds between the last ready line and the shared epoch: time for
+#: the start lines to cross the pipes before the protocol clock reads 0.
+START_MARGIN = 0.02
 
 
 #: Capability table behind :func:`validate_live_spec`: each entry is a
@@ -741,9 +754,65 @@ def _salvaged_summary(pid: int, elapsed: float) -> Dict[str, Any]:
     }
 
 
+class ParentLink:
+    """A ``--procs`` worker's end of the control pipes to its parent.
+
+    The parent's lines arrive on ``stdin`` (its config line already
+    read) and are read on a daemon thread, which hands each one to the
+    event loop; the worker's own control lines go out on ``stdout``
+    ahead of its summary.
+    """
+
+    def __init__(self, stdin: IO[str], stdout: IO[str]) -> None:
+        self._stdout = stdout
+        self._loop = asyncio.get_running_loop()
+        self._epoch: asyncio.Future = self._loop.create_future()
+        #: Set when the parent relays another worker's stop.
+        self.stop_requested = False
+        threading.Thread(target=self._read, args=(stdin,), daemon=True).start()
+
+    def _read(self, stdin: IO[str]) -> None:
+        for line in stdin:
+            if not self._post(self._on_line, line.split()):
+                return
+        self._post(self._on_eof)
+
+    def _post(self, callback: Callable[..., None], *args: Any) -> bool:
+        try:
+            self._loop.call_soon_threadsafe(callback, *args)
+        except RuntimeError:  # the loop has closed: the window is over
+            return False
+        return True
+
+    def _on_line(self, words: List[str]) -> None:
+        if len(words) == 2 and words[0] == START and not self._epoch.done():
+            self._epoch.set_result(float(words[1]))
+        elif words == [STOP]:
+            self.stop_requested = True
+
+    def _on_eof(self) -> None:
+        if not self._epoch.done():
+            self._epoch.set_exception(
+                ConnectionError("the parent closed the control pipe before the start line")
+            )
+
+    def _write(self, line: str) -> None:
+        self._stdout.write(line + "\n")
+        self._stdout.flush()
+
+    async def released(self) -> float:
+        """Report ready, wait for the start line, return its epoch."""
+        self._write(READY)
+        return await self._epoch
+
+    def report_stop(self) -> None:
+        """Tell the parent this worker reached the block target."""
+        self._write(STOP)
+
+
 async def serve_window(
     fabric: WorkerFabric,
-    epoch: Optional[float],
+    link: Optional[ParentLink],
     duration: float,
     target_blocks: Optional[int],
     *,
@@ -751,7 +820,7 @@ async def serve_window(
     client_shard: Optional[Tuple[int, int]] = None,
     incarnation: int = 0,
 ) -> Dict[str, Any]:
-    """The shared serve loop: readiness, barrier, start, poll, stop.
+    """The shared serve loop: readiness, start, poll, stop.
 
     Both deployment shapes go through this exact code path — task mode
     (one fabric hosting the whole committee) and each ``--procs`` worker
@@ -759,12 +828,18 @@ async def serve_window(
     diverge.  The fabric must already be serving with its worker address
     map populated.
 
-    ``epoch=None`` (task mode) starts the protocol the moment every
-    worker-pair session has established — an explicit readiness barrier
-    that collapses to a no-op when there are no remote workers — and
-    rebases every node's clock to that instant.  A wall-clock ``epoch``
-    (subprocess mode) is the cross-worker barrier: session establishment
-    happens in the pre-barrier window.
+    The protocol starts once every worker-pair session has established —
+    an explicit readiness barrier that collapses to a no-op when there
+    are no remote workers — and the workload is preloaded.  ``link=None``
+    (task mode) starts it right then and rebases every node's clock to
+    that instant.  A ``--procs`` worker instead reports ready over its
+    :class:`ParentLink` and waits for the parent's start line: the epoch
+    it carries is every node's clock zero, shared by the whole cluster,
+    and the worker sleeps until it (a restarted worker's epoch is
+    already past).  The window ends ``duration`` seconds after the
+    epoch, at a block target (a ``--procs`` worker then reports stop,
+    and the parent relays it to the other workers), at a relayed stop,
+    or when the quiescence watchdog fires.
 
     ``client_shard=(offset, step)`` runs shard ``offset::step`` of the
     spec's open-loop client swarm alongside the nodes (task mode passes
@@ -815,12 +890,11 @@ async def serve_window(
     # the window (and to delay every node's first proposal).
     for node in nodes:
         node.preload_workload()
-    if epoch is None:
-        start = time.time()
-        for node in nodes:
-            node.epoch = start
-    else:
-        await asyncio.sleep(max(epoch - time.time(), 0.0))
+    start = time.time() if link is None else await link.released()
+    for node in nodes:
+        node.epoch = start
+    if link is not None:
+        await asyncio.sleep(max(start - time.time(), 0.0))
     run_started = time.time()
     cold = set(cold_start_pids)
     for node in nodes:
@@ -830,7 +904,7 @@ async def serve_window(
         # Clients dial in only after the protocol is live: traffic
         # belongs inside the measured window, unlike the preload.
         await swarm.start()
-    deadline = run_started + duration
+    deadline = start + duration
     quiesced = False
     progress_total = -1
     progress_at = run_started
@@ -839,6 +913,10 @@ async def serve_window(
             if target_blocks is not None and any(
                 len(node.mempool.committed_order) >= target_blocks for node in nodes
             ):
+                if link is not None:
+                    link.report_stop()
+                break
+            if link is not None and link.stop_requested:
                 break
             if res.quiesce_after is not None:
                 total = sum(len(node.mempool.committed_order) for node in nodes)
@@ -868,6 +946,85 @@ async def serve_window(
             "fabric": fabric.summary(),
         },
     }
+
+
+class ClusterSwitch:
+    """The parent's end of the ``--procs`` control pipes: one start and
+    one stop for the whole fleet.
+
+    Every :class:`SupervisedWorker` gets :meth:`on_line` as its control
+    callback.  Once all ``slots`` workers have reported ready — or
+    ``ready_timeout`` seconds after construction, whichever comes first
+    — the switch fixes the cluster's epoch (that instant plus
+    :data:`START_MARGIN`) and sends every ready worker its start line.
+    A worker ready after that (late, or restarted) is released the
+    moment it reports, with the same epoch.  The first stop a worker
+    reports is relayed to every other released worker.  ``all_ready``
+    is false when the timeout released the fleet.
+    """
+
+    def __init__(self, slots: int, ready_timeout: float) -> None:
+        self.slots = slots
+        self.epoch: Optional[float] = None
+        self.all_ready = True
+        self.stopped = False
+        self._lock = threading.Lock()
+        #: Ready and not yet released, one per pid group (a restarted
+        #: worker replaces its dead predecessor).
+        self._waiting: Dict[Tuple[int, ...], SupervisedWorker] = {}
+        self._released: List[SupervisedWorker] = []
+        self._timer = threading.Timer(ready_timeout, self._timed_out)
+        self._timer.daemon = True
+        self._timer.start()
+
+    def on_line(self, worker: SupervisedWorker, line: str) -> bool:
+        """``SupervisedWorker`` callback; true for a control line."""
+        if line == READY:
+            self._ready(worker)
+        elif line == STOP:
+            self._stop(worker)
+        else:
+            return False
+        return True
+
+    def close(self) -> None:
+        self._timer.cancel()
+
+    def _ready(self, worker: SupervisedWorker) -> None:
+        with self._lock:
+            if self.epoch is not None:
+                self._release(worker)
+                return
+            self._waiting[tuple(worker.pids)] = worker
+            if len(self._waiting) >= self.slots:
+                self._start()
+
+    def _timed_out(self) -> None:
+        with self._lock:
+            if self.epoch is None:
+                self.all_ready = False
+                self._start()
+
+    def _start(self) -> None:
+        self.epoch = time.time() + START_MARGIN
+        for worker in self._waiting.values():
+            self._release(worker)
+        self._waiting.clear()
+
+    def _release(self, worker: SupervisedWorker) -> None:
+        worker.send(f"{START} {self.epoch!r}")
+        self._released.append(worker)
+        if self.stopped:
+            worker.send(STOP)
+
+    def _stop(self, worker: SupervisedWorker) -> None:
+        with self._lock:
+            if self.stopped:
+                return
+            self.stopped = True
+            for other in self._released:
+                if other is not worker:
+                    other.send(STOP)
 
 
 @dataclass
@@ -997,7 +1154,7 @@ class LiveCluster:
     # -- subprocess (--procs) mode -------------------------------------------------
     def _run_subprocesses(self, budget: float) -> List[Dict[str, Any]]:
         # The ports are reserve-and-release probed, so another process can
-        # steal one before the worker binds it (a ~1s window behind
+        # steal one before the worker binds it (a window as long as
         # interpreter startup); on an address-in-use failure the whole
         # round is retried once with freshly probed ports.
         try:
@@ -1014,68 +1171,62 @@ class LiveCluster:
         # One listening port per *worker*, not per replica: the fabric
         # multiplexes every hosted replica's traffic through it.
         ports = {worker: _free_port(self.host) for worker in range(procs)}
-        epoch = time.time() + 1.0  # generous start barrier across processes
-        wall_deadline = epoch + budget
+        res = self.spec.resilience
+        switch = ClusterSwitch(procs, res.ready_timeout)
         base_config = {
             "spec": self.spec.to_dict(),
             "placement": placement.to_payload(),
             "ports": {str(worker): port for worker, port in ports.items()},
             "host": self.host,
             "fast_path": self.fast_path,
+            # Every incarnation's window ends at the cluster's deadline:
+            # the epoch on its start line plus the budget.
+            "duration": budget,
             "target_blocks": self.target_blocks,
         }
 
         def spawn(pids: Sequence[int], attempt: int) -> SupervisedWorker:
             worker = placement.worker_of(pids[0])
-            if attempt == 0:
-                worker_epoch, worker_budget, cold = epoch, budget, False
-            else:
-                # A restarted worker rebinds the same port (the dead
-                # incarnation freed it), joins the already-running
-                # committee on its own short barrier, serves out the
-                # remaining window and cold-start-syncs its replicas.
-                worker_epoch = time.time() + 1.0  # interpreter start + bind
-                worker_budget = max(wall_deadline - worker_epoch, 0.75)
-                cold = True
-            payload = json.dumps(
-                {
-                    **base_config,
-                    "worker": worker,
-                    "epoch": worker_epoch,
-                    "duration": worker_budget,
-                    "cold_start": cold,
-                    # Worker i hosts client shard i::procs — every worker
-                    # a distinct slice, together covering all clients;
-                    # restart attempts namespace request ids.
-                    "client_shard": [worker, procs],
-                    "incarnation": attempt,
-                }
-            )
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro.runtime.live_worker"],
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
-                env=None,
             )
-            proc.stdin.write(payload)
-            proc.stdin.close()
-            # communicate() must not try to flush the already-closed pipe.
-            proc.stdin = None
-            return SupervisedWorker(pids, proc)
+            supervised = SupervisedWorker(pids, proc, on_line=switch.on_line)
+            # A restarted worker rebinds the same port (the dead
+            # incarnation freed it), is released into the running
+            # committee the moment it reports ready and cold-start-syncs
+            # its replicas.
+            supervised.send(
+                json.dumps(
+                    {
+                        **base_config,
+                        "worker": worker,
+                        "cold_start": attempt > 0,
+                        # Worker i hosts client shard i::procs — every
+                        # worker a distinct slice, together covering all
+                        # clients; restart attempts namespace request ids.
+                        "client_shard": [worker, procs],
+                        "incarnation": attempt,
+                    }
+                )
+            )
+            return supervised
 
         policy = RestartPolicy(
-            max_attempts=self.spec.resilience.worker_restart_attempts,
-            backoff=self.spec.resilience.worker_restart_backoff,
+            max_attempts=res.worker_restart_attempts,
+            backoff=res.worker_restart_backoff,
         )
         supervisor = WorkerSupervisor(spawn, policy)
         self.worker_supervisor = supervisor
-        deadline = time.monotonic() + (epoch - time.time()) + budget + 30.0
+        deadline = time.monotonic() + res.ready_timeout + budget + 30.0
         assignments = [list(placement.pids_of(worker)) for worker in range(procs)]
         try:
             succeeded, failed = supervisor.run(assignments, deadline)
         finally:
+            switch.close()
             self.worker_supervisor = None
         self.worker_report = {
             **supervisor.summary(),
@@ -1086,7 +1237,7 @@ class LiveCluster:
             for event in supervisor.events
         )
         summaries: List[Dict[str, Any]] = []
-        window: Dict[str, Any] = {}
+        window: Dict[str, Any] = {"all_ready": switch.all_ready}
         seen: set = set()
         for worker in succeeded:
             try:
@@ -1100,7 +1251,7 @@ class LiveCluster:
             record = document.get("window", {})
             window["elapsed"] = max(window.get("elapsed", 0.0), record.get("elapsed", 0.0))
             window["quiesced"] = window.get("quiesced", False) or record.get("quiesced", False)
-            window["all_ready"] = window.get("all_ready", True) and record.get("all_ready", True)
+            window["all_ready"] = window["all_ready"] and record.get("all_ready", True)
             fabric_record = record.get("fabric")
             if fabric_record is not None:
                 # First-seen wins per worker, consistent with the per-pid
@@ -1137,8 +1288,8 @@ class LiveCluster:
         observer = max(summaries, key=lambda s: s["committed_blocks"])
         # Rates use the *serving* window each node measured (protocol start
         # to stop), not the full wall clock — which also covers server
-        # bring-up, the start barrier and teardown (and, in procs mode,
-        # worker interpreter startup).
+        # bring-up, the readiness wait and teardown (and, in procs mode,
+        # worker interpreter startup and the start handshake).
         measured = max(s["elapsed"] for s in summaries)
         successful_views = sum(s["views_recorded"] for s in summaries)
         alive = [s for s in summaries if not s["crashed"]] or summaries

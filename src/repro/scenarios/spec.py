@@ -365,7 +365,10 @@ class ResilienceSpec:
         reconnect_base / reconnect_cap: Exponential backoff bounds for
             session reconnects, seconds.
         ready_timeout: Seconds the readiness barrier waits for every peer
-            session to establish before starting the protocol anyway.
+            session to establish before starting the protocol anyway;
+            under ``--procs`` also how long after spawning the parent
+            waits for every worker's ready line before releasing the
+            ready ones.
         quiesce_after: End the serve window early once no node has made
             commit progress for this many seconds (``None`` disables the
             watchdog and keeps the fixed wall budget).

@@ -6,6 +6,8 @@ worker check), so they are small committees with early stop targets.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import api
@@ -97,6 +99,28 @@ def test_procs_mode_spreads_replicas_over_workers():
     result = cluster.run()
     assert result.metrics.committed_blocks >= 1
     assert len(cluster.node_summaries) == 4
+
+
+@pytest.mark.slow
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("seed", [1, 3])
+def test_procs_workers_stop_together(seed):
+    # The worker whose replica reaches the target reports stop and the
+    # parent relays it: the other worker, a block short and now without a
+    # quorum, must not idle to the wall cap (no quiescence watchdog here).
+    spec = _small_spec(
+        seed=seed,
+        topology=TopologySpec(kind="constant", intra_delay=0.010),
+        workload=WorkloadSpec(rate=2000, payload_size=64, preload=True, seed=seed),
+    )
+    assert spec.resilience.quiesce_after is None
+    cluster = LiveCluster(spec=spec, duration=8.0, target_blocks=30, procs=2)
+    started = time.monotonic()
+    cluster.run()
+    wall = time.monotonic() - started
+    elapsed = [summary["elapsed"] for summary in cluster.node_summaries]
+    assert max(elapsed) - min(elapsed) <= 0.25, elapsed
+    assert wall < 5.0
 
 
 @pytest.mark.slow
