@@ -166,11 +166,11 @@ class Aggregator(ABC):
         return state
 
     def _prune(self, keep: int = 64) -> None:
-        """Bound per-block state (old views are never revisited)."""
-        if len(self._rounds) <= keep:
-            return
-        for key in list(self._rounds)[: len(self._rounds) - keep]:
-            del self._rounds[key]
+        """Bound per-block state to the newest ``keep`` rounds (old views
+        are never revisited); the oldest go first, in insertion order."""
+        rounds = self._rounds
+        while len(rounds) > keep:
+            del rounds[next(iter(rounds))]
 
     def _awaits_proposal(self, state: Optional[Round]) -> bool:
         """Whether votes for a known block must still wait for its proposal.

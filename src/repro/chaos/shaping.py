@@ -7,9 +7,13 @@ bandwidth queuing — in the same order the simulator applies them, from a
 node-local seeded RNG.  The live runtime asks it one question per
 message: *drop, or deliver after how long?*
 
-The shaped delay is additive on top of the real localhost round trip
-(tens of microseconds), which is negligible against the sub-millisecond
-and WAN delays the scenario specs describe.
+The shaped delay is additive on top of the real localhost one-way delay:
+one loop iteration on the colocated fast path, and about 60–110 µs for
+an 8-byte frame through asyncio streams on loopback TCP (2-vCPU Linux
+host).  The live loop waits with microsecond resolution
+(:func:`repro.runtime.net.run_loop`), so on that host a shaped 0.5 ms
+hop arrives after about 0.6 ms; stock asyncio rounds each idle wait up
+to whole milliseconds and delivered the same hop after about 1.2 ms.
 """
 
 from __future__ import annotations

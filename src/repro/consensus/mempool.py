@@ -176,7 +176,7 @@ class Mempool:
           in flight; backpressure, the client should slow down.
         * ``dropped`` — the pending queue is at ``max_pending``; overload.
         """
-        if request_id in self._requests:
+        if request_id in self._requests or request_id in self._committed:
             self.admission["duplicate"] += 1
             return "duplicate"
         if (
@@ -289,7 +289,15 @@ class Mempool:
             )
         committed = self._committed
         newly_committed = [r for r in batch if r.request_id not in committed]
-        committed.update(r.request_id for r in newly_committed)
+        ids = [r.request_id for r in newly_committed]
+        committed.update(ids)
+        # From here on ``_committed`` alone answers for these ids (admit's
+        # duplicate check, next_batch's skip), so their records and
+        # reservations would only pin memory for the rest of the run.
+        requests = self._requests
+        for rid in ids:
+            requests.pop(rid, None)
+        self._reserved.difference_update(ids)
         if self._client_inflight:
             inflight = self._client_inflight
             for request in newly_committed:

@@ -109,6 +109,7 @@ from repro.results import EpochMetrics, RunResult
 from repro.runtime.base import Runtime, TimerHandle
 from repro.runtime.codec import FrameBatch, PreEncoded, WireCodec
 from repro.runtime.fabric import Placement, WorkerFabric
+from repro.runtime.net import run_loop
 from repro.scenarios.engine import (
     CompiledScenario,
     compile_scenario,
@@ -1120,7 +1121,7 @@ class LiveCluster:
         if self.procs > 1:
             summaries = self._run_subprocesses(budget)
         else:
-            summaries = asyncio.run(self._run_tasks(budget))
+            summaries = run_loop(self._run_tasks(budget))
         self.node_summaries = sorted(summaries, key=lambda s: s["pid"])
         crashed = {s["pid"] for s in self.node_summaries if s["crashed"]}
         return self._experiment_result(), crashed

@@ -45,7 +45,6 @@ the committed blocks they missed the moment they start.  Spawned by
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
 import sys
@@ -58,6 +57,7 @@ from repro.experiments.runner import _make_signature_scheme
 from repro.observe.logging_setup import configure_logging
 from repro.runtime.fabric import Placement, WorkerFabric
 from repro.runtime.live import LiveNode, ParentLink, serve_window
+from repro.runtime.net import run_loop
 from repro.scenarios.engine import compile_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -123,7 +123,7 @@ def run_worker(stdin: Any = None, stdout: Any = None) -> int:
         config.get("incarnation", 0),
         config.get("cold_start", False),
     )
-    report = asyncio.run(_run_nodes(config, stdin, stdout))
+    report = run_loop(_run_nodes(config, stdin, stdout))
     json.dump(report, stdout)
     stdout.write("\n")
     stdout.flush()

@@ -1,4 +1,19 @@
-"""Socket tuning and frame reading for the live runtime's TCP links.
+"""The live runtime's event loop, socket tuning and frame reading.
+
+Every live event loop — the task-mode cluster and each ``--procs``
+worker — is built by :func:`run_loop`.  Stock asyncio on Linux waits in
+``epoll_wait``, whose timeout is whole milliseconds, so
+``selectors.EpollSelector`` rounds every idle wait *up* to the next
+millisecond: on a stock loop a 0.5 ms shaped hop or timer fires after
+1 ms, and a live cluster runs its links about twice as slow as their
+spec.
+:class:`MicrosecondEpollSelector` keeps epoll for the I/O but does the
+timed wait with ``select()`` on the epoll descriptor itself, which takes
+a microsecond timeout; epoll(7) makes that descriptor readable as soon
+as any registered fd is ready, so socket I/O and
+``call_soon_threadsafe`` still wake the loop at once.  Where the
+platform's default selector is not epoll (kqueue already waits to the
+nanosecond) the stock selector is used.
 
 Consensus traffic is many small frames (votes, acks, heartbeats are tens
 of bytes) punctuated by proposal bursts, exchanged over long-lived
@@ -29,20 +44,95 @@ import the codec (the codec imports the session layer's messages).
 from __future__ import annotations
 
 import asyncio
+import select
+import selectors
 import socket
-from typing import Any
+from typing import Any, Awaitable, List, Optional, Tuple, TypeVar
 
 __all__ = [
     "SOCKET_BUFFER_BYTES",
     "read_frame",
+    "run_loop",
     "tune_socket",
     "tune_writer",
 ]
+
+_T = TypeVar("_T")
 
 #: Send/receive buffer request for peer and client sockets (the kernel
 #: may clamp it).  1 MiB absorbs a full proposal fan-in burst at n=200
 #: without backpressuring the writing coroutine.
 SOCKET_BUFFER_BYTES = 1 << 20
+
+#: ``select()`` can only watch descriptors below this (the C library's
+#: fixed ``fd_set`` size, which the ``select`` module does not export).
+FD_SETSIZE = 1024
+
+
+if hasattr(selectors, "EpollSelector"):
+
+    class MicrosecondEpollSelector(selectors.EpollSelector):
+        """An epoll selector whose timed wait is not rounded to milliseconds.
+
+        A positive timeout is spent in ``select()`` on the epoll
+        descriptor (microsecond resolution); the ready events are then
+        collected with a zero-timeout epoll poll.  If the epoll
+        descriptor itself is at or above :data:`FD_SETSIZE`, ``select()``
+        cannot watch it and this selector waits exactly like its parent.
+        """
+
+        def __init__(self) -> None:
+            super().__init__()
+            epoll_fd = self.fileno()
+            self._wait_on: Optional[List[int]] = [epoll_fd] if epoll_fd < FD_SETSIZE else None
+
+        def select(
+            self, timeout: Optional[float] = None
+        ) -> List[Tuple[selectors.SelectorKey, int]]:
+            if timeout is not None and timeout > 0 and self._wait_on is not None:
+                if not select.select(self._wait_on, [], [], timeout)[0]:
+                    return []
+                timeout = 0
+            return super().select(timeout)
+
+
+def _selector() -> selectors.BaseSelector:
+    if selectors.DefaultSelector is getattr(selectors, "EpollSelector", None):
+        return MicrosecondEpollSelector()
+    return selectors.DefaultSelector()
+
+
+def run_loop(main: Awaitable[_T]) -> _T:
+    """``asyncio.run(main)`` on a fresh loop with the finest-resolution selector.
+
+    Works on Python 3.10, which has no ``asyncio.Runner(loop_factory=…)``,
+    and keeps ``asyncio.run``'s cleanup: leftover tasks are cancelled,
+    async generators and the default executor are shut down, and the
+    loop is closed.
+    """
+    loop = asyncio.SelectorEventLoop(_selector())
+    try:
+        return loop.run_until_complete(main)
+    finally:
+        try:
+            leftover = asyncio.all_tasks(loop)
+            for task in leftover:
+                task.cancel()
+            if leftover:
+                loop.run_until_complete(asyncio.gather(*leftover, return_exceptions=True))
+            for task in leftover:
+                if not task.cancelled() and task.exception() is not None:
+                    loop.call_exception_handler(
+                        {
+                            "message": "unhandled exception during run_loop() shutdown",
+                            "exception": task.exception(),
+                            "task": task,
+                        }
+                    )
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
+        finally:
+            loop.close()
 
 
 def tune_socket(sock: socket.socket) -> None:

@@ -122,6 +122,14 @@ class TestAggregatorStateHandling:
         assert len(aggregator._rounds) == 64
         assert "block-199" in aggregator._rounds and "block-0" not in aggregator._rounds
 
+    def test_prune_keeps_the_newest_rounds_in_insertion_order(self):
+        aggregator = make_replica("iniva").aggregator
+        for index in range(100):
+            aggregator._round(f"block-{index}")
+        assert list(aggregator._rounds) == [f"block-{index}" for index in range(36, 100)]
+        aggregator._prune(keep=10)
+        assert list(aggregator._rounds) == [f"block-{index}" for index in range(90, 100)]
+
     def test_iniva_ignores_ack_from_non_parent(self):
         deployment = build_deployment(ConsensusConfig(committee_size=7, aggregation="iniva"))
         replica = deployment.replicas[0]

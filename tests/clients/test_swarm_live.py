@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.clients.messages import ClientReply, ClientRequest
 from repro.clients.stats import LatencyDigest
 from repro.clients.swarm import ClientSwarm, merge_summaries
-from repro.runtime.live import LiveCluster, run_live
+from repro.crypto.keys import Committee
+from repro.experiments.runner import _make_signature_scheme
+from repro.runtime.fabric import WorkerFabric
+from repro.runtime.live import LiveCluster, LiveNode, run_live
+from repro.scenarios.engine import compile_scenario
 from repro.scenarios.spec import (
     CommitteeSpec,
     ScenarioSpec,
@@ -168,3 +173,54 @@ def test_preload_replay_mode_still_runs_without_swarm():
     assert "swarm" not in clients  # no client traffic on the wire
     # Replayed requests bypass admission control entirely.
     assert clients["admission"]["admitted"] == 0
+
+
+@pytest.mark.slow
+def test_mempool_keeps_only_uncommitted_records_after_a_run(monkeypatch):
+    nodes = []
+    add_node = WorkerFabric.add_node
+
+    def collect(fabric, node):
+        nodes.append(node)
+        return add_node(fabric, node)
+
+    monkeypatch.setattr(WorkerFabric, "add_node", collect)
+    result = run_live(_open_loop_spec(rate=1000.0), duration=1.5)
+    assert result.clients["swarm"]["completed"] > 0
+    assert len(nodes) == 4
+    for node in nodes:
+        pool = node.mempool
+        assert pool.committed_count > 0
+        live_ids = {r.request_id for r in pool._pending}
+        live_ids.update(r.request_id for batch in pool._in_flight.values() for r in batch)
+        live_ids.update(pool._reserved)
+        assert set(pool._requests) <= live_ids
+        assert not set(pool._requests) & pool._committed
+        assert not pool._reserved & pool._committed
+
+
+class _Writer:
+    def __init__(self):
+        self.frames = []
+
+    def is_closing(self):
+        return False
+
+    def write(self, frame):
+        self.frames.append(frame)
+
+
+def test_resent_committed_request_still_gets_its_reply():
+    spec = _open_loop_spec()
+    compiled = compile_scenario(spec)
+    committee = Committee(_make_signature_scheme(compiled.config), 4, seed=spec.seed)
+    node = LiveNode(0, compiled, committee, epoch=0.0)
+    writer = _Writer()
+    request = ClientRequest(request_id=42, client_id=2, payload_size=64)
+    node._admit_client_request(request, writer)
+    node.mempool.track_block("blk", node.mempool.next_batch(10))
+    node.mempool.mark_committed("blk", (42,), time=0.1)
+    assert 42 not in node.mempool._requests
+    node._admit_client_request(request, writer)
+    assert writer.frames == [node.codec.frame(ClientReply(request_id=42, replica=0))]
+    assert node.mempool.admission["duplicate"] == 1

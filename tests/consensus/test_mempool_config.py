@@ -130,6 +130,38 @@ class TestAdmissionControl:
         # The window slot freed by the commit admits the retry.
         assert pool.admit(request_id=2, client_id=0, size_bytes=64, now=0.6) == "admitted"
 
+    def test_commit_drops_request_records_and_reservations(self):
+        leader, follower = Mempool(track_reservations=True), Mempool(track_reservations=True)
+        for pool in (leader, follower):
+            for rid in range(10):
+                pool.admit(request_id=rid, client_id=rid, size_bytes=64, now=0.0)
+        batch = leader.next_batch(4)
+        leader.track_block("b1", batch)
+        follower.observe_proposal("b1", (0, 1, 2, 3))
+        for pool in (leader, follower):
+            pool.mark_committed("b1", (0, 1, 2, 3), time=0.5)
+        # A second block is proposed but not (yet) committed: in flight.
+        leader.track_block("b2", leader.next_batch(3))
+        follower.observe_proposal("b2", (4, 5, 6))
+        for pool in (leader, follower):
+            assert sorted(pool._requests) == [4, 5, 6, 7, 8, 9]
+            assert not pool._reserved & pool._committed
+            assert pool.committed_count == 4
+        assert follower._reserved == {4, 5, 6}
+        # Committed ids are skipped from the pending queue all the same.
+        assert [r.request_id for r in follower.next_batch(10)] == [7, 8, 9]
+
+    def test_resent_committed_request_is_still_a_duplicate(self):
+        pool = Mempool(track_reservations=True, client_window=1)
+        pool.admit(request_id=3, client_id=0, size_bytes=64, now=0.0)
+        pool.track_block("blk", pool.next_batch(1))
+        pool.mark_committed("blk", (3,), time=0.5)
+        assert 3 not in pool._requests
+        assert pool.admit(request_id=3, client_id=0, size_bytes=64, now=0.6) == "duplicate"
+        assert pool.is_committed(3)
+        assert pool.pending_count == 0
+        assert pool.admission["duplicate"] == 1
+
     def test_peak_pending_tracks_high_water_mark(self):
         pool = Mempool()
         for rid in range(5):

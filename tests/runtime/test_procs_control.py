@@ -8,6 +8,7 @@ stdin pipe, with no cluster around it.
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import time
 import pytest
 
 from repro.resilience.supervisor import RestartPolicy, SupervisedWorker, WorkerSupervisor
+from repro.runtime import net
 from repro.runtime.fabric import Placement
 from repro.runtime.live import ClusterSwitch, LiveNode, _free_port
 from repro.runtime.live_worker import run_worker
@@ -209,6 +211,22 @@ def test_released_worker_runs_on_the_epoch_of_its_start_line(monkeypatch):
         assert node_epoch == epoch
         assert request_sync is False
         assert at >= epoch
+
+
+@pytest.mark.timeout(60)
+def test_worker_runs_on_the_microsecond_loop(monkeypatch):
+    selectors_seen = []
+    start_protocol = LiveNode.start_protocol
+
+    def spy(node, request_sync=False):
+        selectors_seen.append(type(asyncio.get_running_loop()._selector))
+        return start_protocol(node, request_sync)
+
+    monkeypatch.setattr(LiveNode, "start_protocol", spy)
+    _drive_worker(
+        monkeypatch, _worker_config(duration=0.2, cold_start=False), time.time() + 0.1
+    )
+    assert selectors_seen == [type(net._selector())] * 4
 
 
 @pytest.mark.timeout(60)
