@@ -3,10 +3,11 @@
 An :class:`ArrivalModel` turns a :class:`random.Random` stream into
 inter-arrival gaps.  The same models drive both substrates:
 
-* the **sim workload scheduler** (:class:`~repro.experiments.workloads.
-  ClientWorkload.attach`) builds one aggregate-rate model and walks it in
-  a single pass, so the legacy Poisson schedule (``rng.expovariate(rate)``
-  per arrival) is reproduced bit for bit — the figure goldens pin it;
+* the **sim workload** (:meth:`~repro.experiments.workloads.
+  ClientWorkload.attach`) builds one aggregate-rate model and draws each
+  gap as the virtual clock reaches the previous arrival, so the legacy
+  Poisson schedule (``rng.expovariate(rate)`` per arrival) is reproduced
+  bit for bit — the figure goldens pin it;
 * the **live swarm** (:mod:`repro.clients.swarm`) builds one per-client
   model at ``rate / num_clients`` with a per-client RNG derived by
   :func:`client_rng`, so client ``i`` emits the same request times no

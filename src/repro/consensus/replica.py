@@ -474,11 +474,33 @@ class HotStuffReplica(Process):
                 block=ancestor.block_id[:12],
                 height=ancestor.height,
             )
+        if chain:
+            self._release_votes(block.view)
         # Time-to-rejoin instrumentation: the first commit reached through
         # the *protocol* path after a recovery (catch-up applies in
         # _on_sync_response and deliberately does not count).
         if chain and self.recovered_at is not None and self.first_commit_after_recovery is None:
             self.first_commit_after_recovery = self.now
+
+    def _release_votes(self, view: int) -> None:
+        """Forget this replica's votes for every block at or below ``view``.
+
+        A vote is dead once its view is decided: a 2ND-CHANCE re-ask comes
+        before the block's QC, sync serves blocks rather than votes, and a
+        block at or below a committed view that is not on the committed
+        chain can never commit.  Votes are cast in strictly increasing
+        views, so ``_votes`` is in view order and the dead ones are its
+        head.
+        """
+        votes = self._votes
+        blocks = self.blocks
+        dead = []
+        for block_id in votes:
+            if blocks[block_id].view > view:
+                break
+            dead.append(block_id)
+        for block_id in dead:
+            del votes[block_id]
 
     # ------------------------------------------------------------------
     # Aggregation completion (the paper's ``aggregate`` upcall)

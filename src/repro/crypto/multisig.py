@@ -265,7 +265,9 @@ class HashSigMultiSig(MultiSignatureScheme):
     #: multiplicity map.
     AGGREGATE_CACHE_MAX = 256
     #: Bound on the share-value and public-key memos; cleared when full.
-    MEMO_MAX = 65536
+    #: A block's shares take n entries, so at n = 100 this holds about
+    #: the last 80 blocks' worth.
+    MEMO_MAX = 8192
 
     def __init__(self, domain: bytes = b"iniva-hashsig") -> None:
         self._domain = domain

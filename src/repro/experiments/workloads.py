@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.clients.arrivals import make_arrival
+from repro.clients.arrivals import ArrivalModel, make_arrival
 from repro.consensus.mempool import Mempool
 from repro.simnet.events import Simulator
 
@@ -68,39 +68,43 @@ class ClientWorkload:
             # asdict/reconstruct) does not warn a second time.
             object.__setattr__(self, "jitter", None)
 
-    def attach(self, simulator: Simulator, mempool: Mempool, duration: float) -> int:
-        """Schedule all request submissions for a run of ``duration`` seconds.
+    def attach(self, simulator: Simulator, mempool: Mempool, duration: float) -> None:
+        """Feed ``mempool`` one request per arrival for ``duration`` seconds.
 
-        Returns the number of scheduled requests.  Scheduling everything up
-        front keeps the hot loop allocation-free and the run deterministic.
+        Only the first arrival is posted here; each arrival, when the
+        clock reaches it, submits its request, draws the next gap and
+        posts the next arrival.  The simulator's heap therefore holds one
+        pending arrival at a time, and deploying costs the same for a
+        one-second run as for a one-minute one.
 
         Iteration order is part of the determinism contract: arrivals are
-        generated in one pass, strictly in arrival-time order, from a
-        single ``random.Random(seed)`` stream, and client ids are assigned
-        round-robin by schedule index.  A fixed ``(seed, rate, arrival,
-        shape)`` tuple therefore yields a bit-identical schedule on every
-        run and platform — the figure goldens pin the ``poisson`` stream
-        (one ``expovariate(rate)`` draw per arrival).
+        generated strictly in arrival-time order from a single
+        ``random.Random(seed)`` stream, one ``model.gap`` call per
+        arrival, and client ids are assigned round-robin by arrival
+        index.  A fixed ``(seed, rate, arrival, shape)`` tuple therefore
+        yields a bit-identical stream on every run and platform — the
+        figure goldens pin the ``poisson`` stream (one
+        ``expovariate(rate)`` draw per arrival) and
+        ``tests/experiments/golden_arrival_streams.json`` pins all four
+        models.
         """
         if self.rate <= 0:
-            return 0
+            return
         model = make_arrival(
             self.arrival,
             self.rate,
             burst_factor=self.burst_factor,
             period=self.period,
         )
-        rng = random.Random(self.seed)
-        scheduled = 0
-        time = 0.0
-        while True:
-            time += model.gap(rng, time)
-            if time >= duration:
-                break
-            client_id = scheduled % max(self.num_clients, 1)
-            simulator.post_at(time, self._submit, mempool, time, client_id)
-            scheduled += 1
-        return scheduled
+        _Arrivals(
+            simulator,
+            mempool,
+            model,
+            random.Random(self.seed),
+            duration,
+            self.payload_size,
+            max(self.num_clients, 1),
+        ).post_next()
 
     def preload_into(self, mempool: Mempool, duration: float) -> int:
         """Submit the whole run's request volume at time zero.
@@ -118,5 +122,49 @@ class ClientWorkload:
             num_clients=self.num_clients,
         )
 
-    def _submit(self, mempool: Mempool, time: float, client_id: int) -> None:
-        mempool.submit(time=time, size_bytes=self.payload_size, client_id=client_id)
+
+class _Arrivals:
+    """A run's client stream, posted as its own next arrival.
+
+    Calling it submits the request due now and posts the next arrival,
+    if that still falls inside the run.  One object serves the whole run,
+    so an arrival costs one heap tuple and no bound method or argument
+    tuple.
+    """
+
+    __slots__ = (
+        "simulator", "mempool", "model", "rng", "duration", "size", "clients", "time", "index"
+    )
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        mempool: Mempool,
+        model: ArrivalModel,
+        rng: random.Random,
+        duration: float,
+        size: int,
+        clients: int,
+    ) -> None:
+        self.simulator = simulator
+        self.mempool = mempool
+        self.model = model
+        self.rng = rng
+        self.duration = duration
+        self.size = size
+        self.clients = clients
+        self.time = 0.0
+        self.index = 0
+
+    def __call__(self) -> None:
+        self.mempool.submit(self.time, self.size, self.index % self.clients)
+        self.index += 1
+        self.post_next()
+
+    def post_next(self) -> None:
+        """Draw the gap to the next arrival and post it, unless it falls
+        at or past the end of the run."""
+        time = self.time + self.model.gap(self.rng, self.time)
+        if time < self.duration:
+            self.time = time
+            self.simulator.post_at(time, self)

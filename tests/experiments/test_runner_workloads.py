@@ -16,19 +16,23 @@ class TestClientWorkload:
         simulator = Simulator()
         mempool = Mempool()
         workload = ClientWorkload(rate=1000, payload_size=64, arrival="uniform")
-        scheduled = workload.attach(simulator, mempool, duration=1.0)
-        assert scheduled == pytest.approx(1000, abs=2)
+        workload.attach(simulator, mempool, duration=1.0)
         simulator.run(until=1.0)
-        assert mempool.submitted_count == scheduled
+        assert mempool.submitted_count == pytest.approx(1000, abs=2)
 
     def test_poisson_arrivals_close_to_rate(self):
         simulator = Simulator()
         mempool = Mempool()
-        scheduled = ClientWorkload(rate=2000, seed=1).attach(simulator, mempool, duration=1.0)
-        assert 1700 < scheduled < 2300
+        ClientWorkload(rate=2000, seed=1).attach(simulator, mempool, duration=1.0)
+        simulator.run(until=1.0)
+        assert 1700 < mempool.submitted_count < 2300
 
     def test_zero_rate_schedules_nothing(self):
-        assert ClientWorkload(rate=0).attach(Simulator(), Mempool(), 1.0) == 0
+        simulator = Simulator()
+        mempool = Mempool()
+        ClientWorkload(rate=0).attach(simulator, mempool, 1.0)
+        simulator.run(until=1.0)
+        assert mempool.submitted_count == 0
 
     def test_requests_attributed_to_clients(self):
         simulator = Simulator()
@@ -51,9 +55,11 @@ class TestClientWorkload:
         modern = ClientWorkload(rate=500, arrival="poisson", seed=7)
         sim_a, pool_a = Simulator(), Mempool()
         sim_b, pool_b = Simulator(), Mempool()
-        assert legacy.attach(sim_a, pool_a, 1.0) == modern.attach(sim_b, pool_b, 1.0)
+        legacy.attach(sim_a, pool_a, 1.0)
+        modern.attach(sim_b, pool_b, 1.0)
         sim_a.run(until=1.0)
         sim_b.run(until=1.0)
+        assert pool_a.submitted_count == pool_b.submitted_count
         assert [r.submitted_at for r in pool_a.next_batch(10_000)] == [
             r.submitted_at for r in pool_b.next_batch(10_000)
         ]
