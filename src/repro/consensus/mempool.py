@@ -76,6 +76,18 @@ class Mempool:
     A real deployment would gossip requests among replicas; since that is
     orthogonal to vote aggregation, the simulation uses one logical pool,
     which is equivalent to every replica having seen every request.
+
+    The live runtime gives every replica its own pool, so what one pool
+    keeps is multiplied by the committee size.  A pool therefore keeps
+    what is in flight and little else:
+
+    * a :meth:`submit_many` preload stays one shared ``(first_id, batch)``
+      segment, with no per-id record;
+    * a per-id record (from :meth:`submit` or :meth:`admit`) is dropped
+      at its first commit;
+    * committed ids are a floor plus a set above it: every id in
+      ``[0, _floor)`` is committed, and the floor advances over the
+      contiguous committed prefix, so in-order ids leave the set again.
     """
 
     def __init__(
@@ -89,6 +101,11 @@ class Mempool:
         self._pending: List[Request] = []
         self._in_flight: Dict[str, Tuple[Request, ...]] = {}
         self._requests: Dict[int, Request] = {}
+        #: ``(first_id, batch)`` per :meth:`submit_many` call: request
+        #: ``first_id + i`` is ``batch[i]``.
+        self._segments: List[Tuple[int, Tuple[Request, ...]]] = []
+        # Committed ids: all of [0, _floor), plus the set above the floor.
+        self._floor = 0
         self._committed: Set[int] = set()
         self._committed_blocks: Set[str] = set()
         #: Block ids in first-commit order (the finalized chain prefix as
@@ -158,7 +175,7 @@ class Mempool:
         self._next_id = first + count
         self._rr_cursor = (cursor + count) % clients
         self._pending.extend(batch)
-        self._requests.update(zip(range(first, first + count), batch))
+        self._segments.append((first, batch))
         return count
 
     def admit(
@@ -171,12 +188,19 @@ class Mempool:
         the pool decides one of :data:`ADMIT_STATES`:
 
         * ``admitted`` — enqueued; counts against the client's window.
-        * ``duplicate`` — already known (possibly committed); not requeued.
+        * ``duplicate`` — already known (possibly committed, or carried by
+          a committed block this pool never saw the request of); not
+          requeued.
         * ``deferred`` — the client already has ``client_window`` requests
           in flight; backpressure, the client should slow down.
         * ``dropped`` — the pending queue is at ``max_pending``; overload.
         """
-        if request_id in self._requests or request_id in self._committed:
+        if (
+            request_id in self._requests
+            or self._floor > request_id >= 0
+            or request_id in self._committed
+            or (self._segments and self._preloaded(request_id) is not None)
+        ):
             self.admission["duplicate"] += 1
             return "duplicate"
         if (
@@ -218,7 +242,8 @@ class Mempool:
 
     @property
     def committed_count(self) -> int:
-        return len(self._committed)
+        """How many distinct request ids :meth:`is_committed` holds."""
+        return self._floor + len(self._committed)
 
     def is_committed(self, request_id: int) -> bool:
         """Whether ``request_id`` already reached a first commit.
@@ -227,7 +252,27 @@ class Mempool:
         immediately: a re-sent request whose original already committed
         gets its reply on the spot instead of silence.
         """
-        return request_id in self._committed
+        return self._floor > request_id >= 0 or request_id in self._committed
+
+    def _preloaded(self, request_id: int) -> Optional[Request]:
+        """The :meth:`submit_many` record of ``request_id``, if any."""
+        for first, batch in self._segments:
+            if first <= request_id < first + len(batch):
+                return batch[request_id - first]
+        return None
+
+    def _known(self, ids: List[int]) -> List[Request]:
+        """The records of ``ids`` this pool holds, in order, dropping the
+        per-id ones (``ids`` are distinct and just committed)."""
+        requests = self._requests
+        known = []
+        for rid in ids:
+            request = requests.pop(rid, None)
+            if request is None and self._segments:
+                request = self._preloaded(rid)
+            if request is not None:
+                known.append(request)
+        return known
 
     # -- leader side --------------------------------------------------------------
     def next_batch(self, max_size: int) -> Tuple[Request, ...]:
@@ -238,8 +283,12 @@ class Mempool:
             return batch
         batch: List[Request] = []
         taken = 0
+        reserved = self._reserved
+        committed = self._committed
+        floor = self._floor
         for taken, request in enumerate(self._pending, start=1):
-            if request.request_id in self._reserved or request.request_id in self._committed:
+            rid = request.request_id
+            if rid in reserved or floor > rid >= 0 or rid in committed:
                 continue
             batch.append(request)
             if len(batch) >= max_size:
@@ -267,7 +316,7 @@ class Mempool:
     def requeue_block(self, block_id: str) -> None:
         """Return a failed block's requests to the pending queue."""
         batch = self._in_flight.pop(block_id, ())
-        uncommitted = [r for r in batch if r.request_id not in self._committed]
+        uncommitted = [r for r in batch if not self.is_committed(r.request_id)]
         self._reserved.difference_update(r.request_id for r in uncommitted)
         self._pending = uncommitted + self._pending
 
@@ -282,22 +331,22 @@ class Mempool:
             return False
         self._committed_blocks.add(block_id)
         self.committed_order.append(block_id)
-        batch = self._in_flight.pop(block_id, None)
-        if batch is None:
-            batch = tuple(
-                self._requests[rid] for rid in payload if rid in self._requests
-            )
+        self._in_flight.pop(block_id, None)
+        floor = self._floor
         committed = self._committed
-        newly_committed = [r for r in batch if r.request_id not in committed]
-        ids = [r.request_id for r in newly_committed]
-        committed.update(ids)
-        # From here on ``_committed`` alone answers for these ids (admit's
-        # duplicate check, next_batch's skip), so their records and
-        # reservations would only pin memory for the rest of the run.
-        requests = self._requests
-        for rid in ids:
-            requests.pop(rid, None)
-        self._reserved.difference_update(ids)
+        # Every payload id is marked, known to this pool or not: a replica
+        # that caught up by sync must still refuse a late copy as a duplicate.
+        fresh = []
+        for rid in payload:
+            if not floor > rid >= 0 and rid not in committed:
+                committed.add(rid)
+                fresh.append(rid)
+        while floor in committed:
+            committed.remove(floor)
+            floor += 1
+        self._floor = floor
+        self._reserved.difference_update(fresh)
+        newly_committed = self._known(fresh)
         if self._client_inflight:
             inflight = self._client_inflight
             for request in newly_committed:
@@ -306,7 +355,7 @@ class Mempool:
                     inflight[request.client_id] = held - 1
                 elif held:
                     del inflight[request.client_id]
-        self.metrics.record_latencies(time, (time - r.submitted_at for r in newly_committed))
+        self.metrics.record_latencies(time, [time - r.submitted_at for r in newly_committed])
         self.metrics.record_commit(time, len(newly_committed))
         if self.on_commit is not None and newly_committed:
             self.on_commit(newly_committed)

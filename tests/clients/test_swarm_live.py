@@ -195,8 +195,8 @@ def test_mempool_keeps_only_uncommitted_records_after_a_run(monkeypatch):
         live_ids.update(r.request_id for batch in pool._in_flight.values() for r in batch)
         live_ids.update(pool._reserved)
         assert set(pool._requests) <= live_ids
-        assert not set(pool._requests) & pool._committed
-        assert not pool._reserved & pool._committed
+        assert not any(pool.is_committed(rid) for rid in pool._requests)
+        assert not any(pool.is_committed(rid) for rid in pool._reserved)
 
 
 class _Writer:

@@ -145,7 +145,7 @@ class TestAdmissionControl:
         follower.observe_proposal("b2", (4, 5, 6))
         for pool in (leader, follower):
             assert sorted(pool._requests) == [4, 5, 6, 7, 8, 9]
-            assert not pool._reserved & pool._committed
+            assert not any(pool.is_committed(rid) for rid in pool._reserved)
             assert pool.committed_count == 4
         assert follower._reserved == {4, 5, 6}
         # Committed ids are skipped from the pending queue all the same.
@@ -161,6 +161,55 @@ class TestAdmissionControl:
         assert pool.is_committed(3)
         assert pool.pending_count == 0
         assert pool.admission["duplicate"] == 1
+
+    def test_commit_marks_ids_the_pool_never_saw(self):
+        # A replica that caught up by sync commits blocks whose requests it
+        # never admitted; a late copy of one must not be proposed again.
+        metrics = MetricsCollector()
+        pool = Mempool(metrics, track_reservations=True)
+        pool.admit(request_id=5, client_id=0, size_bytes=64, now=0.0)
+        assert pool.mark_committed("blk", (7, 5), time=1.0)
+        assert pool.is_committed(7)
+        assert pool.admit(request_id=7, client_id=1, size_bytes=64, now=1.5) == "duplicate"
+        assert pool.committed_count == 2
+        # Latency and ops count the request the pool held a record of.
+        assert metrics.committed_operations() == 1
+        assert metrics.latency_samples() == [1.0]
+        assert pool.next_batch(10) == ()
+
+    def test_preload_keeps_no_per_id_records(self):
+        pools = [Mempool(track_reservations=True) for _ in range(3)]
+        for pool in pools:
+            pool.submit_many(count=50, time=0.0, size_bytes=64, num_clients=4)
+        assert all(not pool._requests for pool in pools)
+        # Every replica resolves the same shared records.
+        assert pools[0]._segments[0][1] is pools[2]._segments[0][1]
+        leader, follower = pools[0], pools[1]
+        batch = leader.next_batch(10)
+        leader.track_block("b1", batch)
+        follower.observe_proposal("b1", tuple(r.request_id for r in batch))
+        committed = []
+        follower.on_commit = committed.extend
+        for pool in (leader, follower):
+            pool.mark_committed("b1", tuple(range(10)), time=1.0)
+            # The contiguous committed prefix folds into the floor.
+            assert pool._floor == 10 and not pool._committed
+            assert pool.committed_count == 10
+            assert pool.admit(request_id=3, client_id=0, size_bytes=64, now=1.0) == "duplicate"
+            assert pool.admit(request_id=30, client_id=0, size_bytes=64, now=1.0) == "duplicate"
+        assert committed == list(batch)
+        assert [r.request_id for r in follower.next_batch(5)] == [10, 11, 12, 13, 14]
+
+    def test_out_of_order_commits_fold_once_the_gap_closes(self):
+        pool = Mempool(track_reservations=True)
+        pool.submit_many(count=6, time=0.0, size_bytes=64)
+        pool.mark_committed("b2", (3, 4), time=1.0)
+        assert pool._floor == 0 and pool._committed == {3, 4}
+        pool.mark_committed("b1", (0, 1, 2), time=2.0)
+        assert pool._floor == 5 and not pool._committed
+        assert pool.committed_count == 5
+        assert [pool.is_committed(rid) for rid in (-1, 4, 5)] == [False, True, False]
+        assert [r.request_id for r in pool.next_batch(10)] == [5]
 
     def test_peak_pending_tracks_high_water_mark(self):
         pool = Mempool()
