@@ -20,16 +20,17 @@ from an aggregate — is the k-element aggregate extraction assumption shown
 equivalent to Diffie-Hellman by Coron and Naccache (paper reference [33]).
 
 Performance notes: message hashing is memoised module-wide in
-:func:`repro.crypto.curve.hash_to_point`; every verification — a share, an
-aggregate, a batch — is one :func:`repro.crypto.pairing.tate_check`
-equation (one fused Miller loop over the cached ladders of ``G`` and
-``H(m)``, one final exponentiation), and no lone pairing value is ever
-computed or memoised; verified *aggregates* are memoised per scheme
-instance, so a replica re-checking the QC another replica already checked
-pays a dict lookup; weighted sums of shares and of public keys run on one
-Jacobian accumulator (:func:`repro.crypto.curve.weighted_sum`); and
-:meth:`BlsMultiSig.verify_batch` checks ``k`` shares on one message with a
-random-linear-combination equation costing one check instead of ``k``.
+:func:`repro.crypto.curve.hash_to_point`, and signing multiplies ``H(m)``
+through a per-message comb (:func:`repro.crypto.curve.comb_mult`), so the
+n signatures a block makes on one ``H(m)`` share one table; every
+verification — a share or an aggregate — is one
+:func:`repro.crypto.pairing.tate_check` equation (one Miller loop over the
+cached vertical-free ladders of ``G`` and ``H(m)``, one final
+exponentiation), and no lone pairing value is ever computed or memoised;
+verified *aggregates* are memoised per scheme instance, so a replica
+re-checking the QC another replica already checked pays a dict lookup;
+and weighted sums of shares and of public keys run on one Jacobian
+accumulator (:func:`repro.crypto.curve.weighted_sum`).
 """
 
 from __future__ import annotations
@@ -37,13 +38,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.crypto.curve import (
-    Point,
-    generator,
-    hash_to_point,
-    multi_scalar_mult,
-    weighted_sum,
-)
+from repro.crypto.curve import Point, comb_mult, generator, hash_to_point, weighted_sum
 from repro.crypto.keys import KeyPair
 from repro.crypto.multisig import (
     AggregateSignature,
@@ -104,7 +99,7 @@ class BlsMultiSig(MultiSignatureScheme):
         return entry[1]
 
     def sign(self, secret_key: int, message: bytes, signer: int) -> SignatureShare:
-        point = self._hash_message(message) * secret_key
+        point = comb_mult(self._hash_message(message), secret_key)
         return SignatureShare(signer=signer, value=point)
 
     def verify_share(self, share: SignatureShare, message: bytes, public_key: Point) -> bool:
@@ -117,45 +112,6 @@ class BlsMultiSig(MultiSignatureScheme):
         return tate_check(
             self._generator, share.value, self._hash_message(message), public_key
         )
-
-    def verify_batch(
-        self,
-        shares: Iterable[SignatureShare],
-        message: bytes,
-        public_keys: Mapping[int, Any],
-    ) -> bool:
-        """Verify ``k`` shares on one message with one pairing check instead of k.
-
-        Uses the standard random-linear-combination check: with
-        coefficients ``c_i`` drawn (deterministically, Fiat-Shamir style)
-        from the shares themselves,
-
-            e(sum_i c_i * sigma_i, G) == e(H(m), sum_i c_i * PK_i)
-
-        holds for honest shares by bilinearity, while a forged share
-        passes only with probability ~1/r.  Returns ``True`` for an empty
-        batch.
-        """
-        shares = list(shares)
-        if not shares:
-            return True
-        if len(shares) == 1:
-            share = shares[0]
-            key = public_keys.get(share.signer)
-            return key is not None and self.verify_share(share, message, key)
-        transcript = hashlib.sha256(b"iniva-bls-batch" + message)
-        values = []
-        for share in shares:
-            if share.signer not in public_keys:
-                return False
-            value = share.value
-            if not isinstance(value, Point) or value.is_infinity or not value.is_on_curve():
-                return False
-            values.append(value)
-            transcript.update(share.signer.to_bytes(8, "big", signed=True))
-            transcript.update(value.to_bytes())
-        keys = [public_keys[share.signer] for share in shares]
-        return self._rlc_check(values, keys, transcript.digest(), message)
 
     def _weighted_key(
         self, aggregate: AggregateSignature, public_keys: Mapping[int, Any]
@@ -187,28 +143,6 @@ class BlsMultiSig(MultiSignatureScheme):
                 self._weighted_key_cache.clear()
             self._weighted_key_cache[weight_key] = weighted
         return weighted
-
-    def _rlc_check(self, values, keys, seed: bytes, message: bytes) -> bool:
-        """The random-linear-combination equation (one pairing check).
-
-        Coefficients are 64-bit (small-exponent test): the forgery
-        probability stays at ~2^-64 while the combination's scalar
-        multiplications are ~2.5x cheaper than full 160-bit scalars, and
-        both combinations run through :func:`multi_scalar_mult` so the
-        doubling ladder is shared across the whole batch.
-        """
-        coeffs = [
-            int.from_bytes(
-                hashlib.sha256(seed + index.to_bytes(4, "big")).digest()[:8], "big"
-            )
-            + 1
-            for index in range(len(values))
-        ]
-        combined_sig = multi_scalar_mult(list(zip(values, coeffs)), self.params)
-        combined_key = multi_scalar_mult(list(zip(keys, coeffs)), self.params)
-        return tate_check(
-            self._generator, combined_sig, self._hash_message(message), combined_key
-        )
 
     # -- aggregation -------------------------------------------------------
     def aggregate(self, parts: Iterable[Contribution]) -> AggregateSignature:
@@ -268,7 +202,9 @@ class BlsMultiSig(MultiSignatureScheme):
         message: bytes,
         public_keys: Mapping[int, Any],
     ) -> bool:
-        if not isinstance(aggregate.value, Point):
+        if not isinstance(aggregate.value, Point) or not aggregate.value.is_on_curve():
+            # A decoded point is unchecked: an off-curve value is refused
+            # before the memo and the pairing, as verify_share refuses one.
             return False
         if not aggregate.multiplicities:
             return aggregate.value.is_infinity

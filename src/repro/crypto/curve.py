@@ -10,7 +10,9 @@ generation and cofactor clearing — runs on a raw-integer
 Jacobian-coordinate core (no modular inversion per group operation) with
 width-5 wNAF recoding and per-point precomputation tables.  The subgroup
 generator additionally gets a fixed-base windowed table so ``G * sk``
-degenerates to ~``r_bits/4`` mixed additions with no doublings at all.
+degenerates to ~``r_bits/4`` mixed additions with no doublings at all,
+and a message hash that every replica signs gets a memoised 4-tooth comb
+(:func:`comb_mult`): ~``r_bits/4`` doublings and as many additions.
 Multiplicity-weighted sums of shares and keys (:func:`weighted_sum`) use
 the same core without tables.  The schoolbook affine double-and-add survives as
 :func:`reference_scalar_mult` and remains the semantic reference the
@@ -31,7 +33,7 @@ __all__ = [
     "generator",
     "hash_to_point",
     "distortion_map",
-    "multi_scalar_mult",
+    "comb_mult",
     "weighted_sum",
     "reference_scalar_mult",
     "clear_hash_cache",
@@ -262,6 +264,74 @@ def _fixed_base_mult(k: int, params: CurveParams) -> Tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Per-point comb tables for points multiplied by many scalars
+# ---------------------------------------------------------------------------
+
+_COMB_TEETH = 4
+# (p, x, y) -> (spacing d, the 15 affine sums of b_j * 2^(j*d) * P for
+# b = 1..15), or None when one of those sums is the identity.
+_COMB_CACHE: Dict[Tuple[int, int, int], Optional[Tuple[int, List[Tuple[int, int]]]]] = {}
+_COMB_CACHE_MAX = 128
+
+
+def _comb_table(x: int, y: int, params: CurveParams):
+    key = (params.p, x, y)
+    if key in _COMB_CACHE:
+        return _COMB_CACHE[key]
+    p = params.p
+    spacing = -(-params.r.bit_length() // _COMB_TEETH)
+    teeth = [(x, y, 1)]
+    for _ in range(_COMB_TEETH - 1):
+        tooth = teeth[-1]
+        for _ in range(spacing):
+            tooth = _jac_double(*tooth, p)
+        teeth.append(tooth)
+    entry = None
+    if all(tooth[2] for tooth in teeth):
+        teeth_affine = _batch_to_affine(teeth, p)
+        # sums[b] = sums[b without its top bit] + that bit's tooth.
+        sums = [_JAC_INFINITY]
+        for j, (tx, ty) in enumerate(teeth_affine):
+            sums += [_jac_add_mixed(*sums[low], tx, ty, p) for low in range(1 << j)]
+        if all(total[2] for total in sums[1:]):
+            entry = (spacing, _batch_to_affine(sums[1:], p))
+    if len(_COMB_CACHE) >= _COMB_CACHE_MAX:
+        _COMB_CACHE.clear()
+    _COMB_CACHE[key] = entry
+    return entry
+
+
+def comb_mult(point: "Point", k: int) -> "Point":
+    """``point * k`` through a memoised 4-tooth comb on ``point``.
+
+    Signing multiplies one ``H(m)`` by every replica's key: the comb splits
+    ``k`` into four rows of ``d = ceil(bits(r)/4)`` bits, so each product is
+    ``d`` doublings and at most ``d`` mixed additions from a 15-entry table
+    of tooth sums built once per point.  The result is bit-identical to
+    ``point * k``, which serves scalars outside ``[0, 2^(4d))`` and points
+    whose table would hold the identity.
+    """
+    if point.is_infinity or k < 0:
+        return point * k
+    params = point.params
+    entry = _comb_table(point.x.value, point.y.value, params)
+    if entry is None or k >> (_COMB_TEETH * entry[0]):
+        return point * k
+    spacing, table = entry
+    p = params.p
+    mask = (1 << spacing) - 1
+    k0, k1, k2, k3 = (k >> (j * spacing) & mask for j in range(_COMB_TEETH))
+    acc = _JAC_INFINITY
+    for i in range(spacing - 1, -1, -1):
+        acc = _jac_double(*acc, p)
+        b = (k0 >> i & 1) | (k1 >> i & 1) << 1 | (k2 >> i & 1) << 2 | (k3 >> i & 1) << 3
+        if b:
+            ax, ay = table[b - 1]
+            acc = _jac_add_mixed(*acc, ax, ay, p)
+    return Point._from_jacobian(acc, params)
+
+
+# ---------------------------------------------------------------------------
 # Public point type
 # ---------------------------------------------------------------------------
 
@@ -387,54 +457,6 @@ class Point:
         return b"".join(parts)
 
 
-def multi_scalar_mult(pairs: List[Tuple["Point", int]], params: CurveParams) -> "Point":
-    """``sum_i k_i * P_i`` via interleaved wNAF.
-
-    The doubling ladder — the dominant cost of a scalar multiplication —
-    is shared across all points: ``n`` points cost one ladder plus ``n``
-    tables and add-steps instead of ``n`` ladders.  This is what makes the
-    random-linear-combination verifiers cheap: the combination's scalar
-    work no longer scales with the batch size's ladder count.
-
-    Points off the fast path (``F_{p^2}`` distortion images, small-order
-    points whose wNAF tables cannot be built) fall back to plain ``P * k``
-    and are added to the result.
-    """
-    p = params.p
-    jobs = []
-    extra = Point.infinity(params)
-    for point, k in pairs:
-        if k < 0:
-            point, k = -point, -k
-        if k == 0 or point.is_infinity:
-            continue
-        x = point.x
-        if not isinstance(x, Fp):
-            extra = extra + point * k
-            continue
-        table = _odd_multiples(x.value, point.y.value, p)
-        if table is None:
-            extra = extra + point * k
-            continue
-        jobs.append((table, _wnaf(k, _WNAF_WIDTH)))
-    if not jobs:
-        return extra
-    acc = _JAC_INFINITY
-    for i in range(max(len(digits) for _, digits in jobs) - 1, -1, -1):
-        acc = _jac_double(*acc, p)
-        for table, digits in jobs:
-            if i < len(digits):
-                d = digits[i]
-                if d > 0:
-                    ax, ay = table[(d - 1) >> 1]
-                    acc = _jac_add_mixed(*acc, ax, ay, p)
-                elif d < 0:
-                    ax, ay = table[(-d - 1) >> 1]
-                    acc = _jac_add_mixed(*acc, ax, (p - ay) % p, p)
-    result = Point._from_jacobian(acc, params)
-    return result if extra.is_infinity else result + extra
-
-
 def weighted_sum(pairs: Iterable[Tuple["Point", int]], params: CurveParams) -> "Point":
     """``sum_i k_i * P_i`` over ``E(F_p)`` for multiplicity-sized ``k_i >= 0``.
 
@@ -443,9 +465,9 @@ def weighted_sum(pairs: Iterable[Tuple["Point", int]], params: CurveParams) -> "
     bit, so unit weights cost one addition each and no doubling at all,
     and a single inversion normalises the total (affine ``+`` inverts per
     addition).  No per-point tables — the terms are fresh signature shares
-    with weights of a few bits, where :func:`multi_scalar_mult`'s wNAF
-    tables cost more than the sum.  The result is the canonical affine
-    point, bit-identical to the affine double-and-add sum.
+    with weights of a few bits, where wNAF tables cost more than the sum.
+    The result is the canonical affine point, bit-identical to the affine
+    double-and-add sum.
     """
     p = params.p
     terms = [

@@ -92,10 +92,6 @@ class Committee:
     def verify_aggregate(self, aggregate, message: bytes) -> bool:
         return self._scheme.verify_aggregate(aggregate, message, self.public_keys())
 
-    def verify_batch(self, shares, message: bytes) -> bool:
-        """Verify many shares on one message (batched where the backend can)."""
-        return self._scheme.verify_batch(shares, message, self.public_keys())
-
     def trust_aggregate(self, aggregate, message: bytes) -> None:
         """Mark a collector-built aggregate as verified (backend cache seed)."""
         self._scheme.trust_aggregate(aggregate, message, self.public_keys())

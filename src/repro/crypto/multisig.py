@@ -182,24 +182,6 @@ class MultiSignatureScheme(ABC):
     ) -> bool:
         """Verify an aggregate against the claimed signer multiplicities."""
 
-    def verify_batch(
-        self,
-        shares: Iterable[SignatureShare],
-        message: bytes,
-        public_keys: Mapping[int, Any],
-    ) -> bool:
-        """Verify many shares on one message; ``True`` iff all are valid.
-
-        The default checks each share individually; backends with a
-        cheaper combined equation (BLS random-linear-combination batching)
-        override this.  An empty batch verifies trivially.
-        """
-        for share in shares:
-            key = public_keys.get(share.signer)
-            if key is None or not self.verify_share(share, message, key):
-                return False
-        return True
-
     def trust_aggregate(
         self,
         aggregate: AggregateSignature,

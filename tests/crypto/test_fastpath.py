@@ -1,9 +1,10 @@
 """Property tests pinning the Jacobian/wNAF fast path to the affine reference.
 
 The fast scalar-multiplication core (Jacobian coordinates, wNAF windows,
-fixed-base tables) must be *bit-identical* to the schoolbook affine
-double-and-add it replaced — same canonical affine coordinates for every
-scalar and point, not merely the same group element up to representation.
+fixed-base tables, the signing comb) must be *bit-identical* to the
+schoolbook affine double-and-add it replaced — same canonical affine
+coordinates for every scalar and point, not merely the same group element
+up to representation.
 """
 
 import pytest
@@ -12,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.bls import BlsMultiSig
 from repro.crypto.curve import (
     Point,
+    comb_mult,
     generator,
     hash_to_point,
     reference_scalar_mult,
 )
-from repro.crypto.multisig import AggregateSignature, SignatureShare
+from repro.crypto.multisig import AggregateSignature
 from repro.crypto.params import DEFAULT_PARAMS, TOY_PARAMS
 
 G = generator(TOY_PARAMS)
@@ -111,67 +113,39 @@ class TestFastPathFullParams:
         assert scheme.verify_share(share, b"full-params-message", pair.public_key)
 
 
-@pytest.mark.pairing
-class TestBatchVerification:
-    @pytest.fixture(scope="class")
-    def scheme(self):
-        return BlsMultiSig(TOY_PARAMS)
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(TOY_PARAMS, id="toy128"),
+        pytest.param(DEFAULT_PARAMS, id="ss512", marks=pytest.mark.heavy_crypto),
+    ],
+)
+class TestCombSigning:
+    """A signature through the per-message comb is exactly ``H(m) * sk``."""
 
-    @pytest.fixture(scope="class")
-    def keys(self, scheme):
-        return {pid: scheme.keygen(100 + pid) for pid in range(5)}
+    @given(sk=st.integers(min_value=0, max_value=2**160))
+    @settings(max_examples=20, deadline=None)
+    def test_random_keys(self, params, sk):
+        scheme = BlsMultiSig(params)
+        sk %= params.r
+        hashed = hash_to_point(b"comb-random", params)
+        assert_same_point(scheme.sign(sk, b"comb-random", 0).value, hashed * sk)
 
-    def test_valid_batch_accepts(self, scheme, keys):
-        message = b"batch-me"
-        shares = [scheme.sign(pair.secret_key, message, pid) for pid, pair in keys.items()]
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        assert scheme.verify_batch(shares, message, public)
+    def test_edge_keys(self, params):
+        scheme = BlsMultiSig(params)
+        hashed = hash_to_point(b"comb-edge", params)
+        for sk in (0, 1, params.r - 1):
+            share = scheme.sign(sk, b"comb-edge", 0)
+            assert_same_point(share.value, hashed * sk)
+            assert_same_point(share.value, reference_scalar_mult(hashed, sk))
 
-    def test_empty_batch_accepts(self, scheme, keys):
-        assert scheme.verify_batch([], b"anything", {})
-
-    def test_single_share_batch(self, scheme, keys):
-        message = b"solo"
-        share = scheme.sign(keys[0].secret_key, message, 0)
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        assert scheme.verify_batch([share], message, public)
-        assert not scheme.verify_batch(
-            [SignatureShare(signer=1, value=share.value)], message, public
-        )
-
-    def test_one_bad_share_rejects_batch(self, scheme, keys):
-        message = b"batch-me"
-        shares = [scheme.sign(pair.secret_key, message, pid) for pid, pair in keys.items()]
-        wrong = scheme.sign(keys[0].secret_key, b"different-message", 0)
-        shares[0] = wrong
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        assert not scheme.verify_batch(shares, message, public)
-
-    def test_unknown_signer_rejects(self, scheme, keys):
-        message = b"batch-me"
-        shares = [scheme.sign(keys[0].secret_key, message, 42)]
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        assert not scheme.verify_batch(shares, message, public)
-
-    def test_batch_agrees_with_individual_verification(self, scheme, keys):
-        message = b"cross-check"
-        shares = [scheme.sign(pair.secret_key, message, pid) for pid, pair in keys.items()]
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        individually = all(
-            scheme.verify_share(share, message, public[share.signer]) for share in shares
-        )
-        assert scheme.verify_batch(shares, message, public) == individually
-
-    def test_default_backend_batch(self):
-        from repro.crypto.multisig import get_scheme
-
-        scheme = get_scheme("hashsig")
-        keys = {pid: scheme.keygen(pid) for pid in range(4)}
-        public = {pid: pair.public_key for pid, pair in keys.items()}
-        shares = [scheme.sign(pair.secret_key, b"m", pid) for pid, pair in keys.items()]
-        assert scheme.verify_batch(shares, b"m", public)
-        shares[2] = SignatureShare(signer=2, value=12345)
-        assert not scheme.verify_batch(shares, b"m", public)
+    def test_scalars_the_comb_does_not_cover(self, params):
+        hashed = hash_to_point(b"comb-range", params)
+        for k in (-1, -params.r, 1 << (4 * -(-params.r.bit_length() // 4)), 3 * params.r):
+            assert_same_point(comb_mult(hashed, k), hashed * k)
+        order3 = Point.from_ints(0, 1, params)  # its tooth sums reach O
+        for k in range(7):
+            assert_same_point(comb_mult(order3, k), reference_scalar_mult(order3, k))
 
 
 @pytest.mark.pairing

@@ -1,8 +1,7 @@
 """Tests for the hot-path verification primitives added for the live cluster.
 
-Covers the trusted-aggregate memo seeding (``trust_aggregate``), the
-shared-ladder multi-scalar multiplication, and the single-reduction
-pairing equality check (``tate_check``).
+Covers the trusted-aggregate memo seeding (``trust_aggregate``) and the
+single-reduction pairing equality check (``tate_check``).
 """
 
 from __future__ import annotations
@@ -11,13 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.bls import BlsMultiSig
-from repro.crypto.curve import (
-    Point,
-    generator,
-    hash_to_point,
-    multi_scalar_mult,
-    reference_scalar_mult,
-)
+from repro.crypto.curve import Point, generator, hash_to_point
 from repro.crypto.multisig import AggregateSignature, get_scheme
 from repro.crypto.params import TOY_PARAMS
 from repro.crypto.pairing import tate_check, tate_pairing
@@ -72,43 +65,6 @@ class TestTrustAggregate:
         # verification still works.
         scheme.trust_aggregate(agg, MESSAGE, {1: pair.public_key})
         assert scheme.verify_aggregate(agg, MESSAGE, {1: pair.public_key})
-
-
-class TestMultiScalarMult:
-    G = generator(TOY_PARAMS)
-    R = TOY_PARAMS.r
-
-    def _reference(self, pairs):
-        total = Point.infinity(TOY_PARAMS)
-        for point, k in pairs:
-            total = total + reference_scalar_mult(point, k)
-        return total
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        ks=st.lists(st.integers(min_value=0, max_value=2 * R), min_size=1, max_size=6),
-        seeds=st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=6),
-    )
-    def test_matches_sum_of_reference_mults(self, ks, seeds):
-        points = [hash_to_point(seed, TOY_PARAMS) for seed in seeds]
-        pairs = list(zip(points, ks))
-        fast = multi_scalar_mult(pairs, TOY_PARAMS)
-        assert fast == self._reference(pairs)
-
-    def test_empty_input_is_infinity(self):
-        assert multi_scalar_mult([], TOY_PARAMS).is_infinity
-
-    def test_zero_scalars_and_infinity_points_skipped(self):
-        pairs = [
-            (self.G, 0),
-            (Point.infinity(TOY_PARAMS), 17),
-            (self.G, 5),
-        ]
-        assert multi_scalar_mult(pairs, TOY_PARAMS) == reference_scalar_mult(self.G, 5)
-
-    def test_negative_scalars(self):
-        pairs = [(self.G, -3), (hash_to_point(b"q", TOY_PARAMS), 7)]
-        assert multi_scalar_mult(pairs, TOY_PARAMS) == self._reference(pairs)
 
 
 class TestTateCheck:

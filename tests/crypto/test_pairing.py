@@ -3,7 +3,8 @@
 ``tate_pairing`` computes one reduced pairing value and is the reference;
 ``tate_check`` is the fused verification equation the signature scheme
 calls, and must decide ``e(a1, b1) == e(a2, b2)`` exactly as two reference
-pairings would, on every input including the degenerate ones.
+pairings would, on every input including the degenerate ones.  Its cached
+ladders hold lines only, one step per digit of the NAF of ``r``.
 """
 
 import functools
@@ -16,7 +17,8 @@ from repro.crypto.bls import BlsMultiSig
 from repro.crypto.curve import Point, generator, hash_to_point
 from repro.crypto.field import Fp
 from repro.crypto.multisig import AggregateSignature, SignatureShare
-from repro.crypto.pairing import tate_check, tate_pairing
+from repro.crypto import pairing
+from repro.crypto.pairing import _ladder, _naf_digits, tate_check, tate_pairing
 from repro.crypto.params import DEFAULT_PARAMS, TOY_PARAMS
 
 pytestmark = pytest.mark.pairing
@@ -188,6 +190,59 @@ class TestTateCheckEquivalence:
         with pytest.raises(ZeroDivisionError):
             tate_pairing(fixed.order3, fixed.order3)
         assert assert_equivalent(fixed.order3, fixed.order3, fixed.G, fixed.H) is None
+
+
+@pytest.mark.parametrize("params", CURVES)
+class TestLinesOnlyLadder:
+    def test_ladder_holds_lines_along_the_naf_of_r(self, params):
+        """Each step is a tangent ``(lam, mu)``, plus a chord on a nonzero
+        digit; every line ``y = lam*x + mu`` passes through the running
+        multiple it was built at, so none of them is a vertical."""
+        fixed = _fixed_points(params)
+        digits = _naf_digits(params.r)
+        for point in (fixed.G, fixed.H):
+            steps = _ladder(point, params)
+            assert len(steps) == len(digits) - 1
+            # The leading digit starts the walk; the last one's chord is the
+            # vertical that ends it at O, and is dropped.
+            assert [len(step) for step in steps] == [
+                4 if d and index < len(digits) - 2 else 2
+                for index, d in enumerate(digits[1:])
+            ]
+            k = 1
+            for step, d in zip(steps, digits[1:]):
+                on_line = [point * k]
+                k *= 2
+                if len(step) == 4:
+                    on_line.append(point * d)
+                for (lam, mu), at in zip((step[:2], step[2:]), on_line):
+                    assert at.y.value == (lam * at.x.value + mu) % params.p
+                k += d
+            assert k == params.r
+
+    def test_first_argument_outside_the_subgroup_takes_the_reference_path(
+        self, params, monkeypatch
+    ):
+        fixed = _fixed_points(params)
+        x = 3
+        while True:  # a point whose NAF walk runs to the end without reaching O
+            y = (Fp(x, params.p) ** 3 + 1).sqrt()
+            if y is not None:
+                wide = Point(Fp(x, params.p), y, params)
+                if not (wide * params.r).is_infinity and not (wide * params.cofactor).is_infinity:
+                    break
+            x += 1
+        references = []
+        monkeypatch.setattr(
+            pairing, "tate_pairing", lambda a, b: references.append(a) or tate_pairing(a, b)
+        )
+        for outside in (wide, fixed.off_subgroup):
+            assert _ladder(outside, params) == ()
+            for b1, a2, b2 in ((fixed.G, fixed.H, fixed.G), (fixed.H * 5, outside, fixed.H * 5)):
+                references.clear()
+                expected = tate_pairing(outside, b1) == tate_pairing(a2, b2)
+                assert tate_check(outside, b1, a2, b2) is expected
+                assert len(references) == 2
 
 
 @pytest.mark.parametrize("params", CURVES)

@@ -4,7 +4,9 @@ A verification is one pairing-product equation: one fused Miller loop and
 exactly one final exponentiation, whatever it checks — a share, or an
 aggregate the memo has not seen (a memo hit costs none).  A weighted sum
 of shares or keys is one Jacobian accumulator: no scalar multiplication,
-and a single normalisation back to affine at the end.
+and a single normalisation back to affine at the end.  Signing a message
+again reuses its comb table: no fresh scalar multiplication.  An
+off-curve aggregate is refused before any pairing work.
 The counts come from wrapping the three primitives themselves, so they
 hold on any host at any speed.
 """
@@ -15,10 +17,16 @@ from collections import Counter
 
 import pytest
 
+from repro.aggregation.messages import ProposalMessage
+from repro.consensus.block import Block, QuorumCertificate
+from repro.consensus.config import ConsensusConfig
 from repro.crypto import curve, pairing
 from repro.crypto.bls import BlsMultiSig
+from repro.crypto.curve import Point
 from repro.crypto.multisig import AggregateSignature
 from repro.crypto.params import TOY_PARAMS
+from repro.experiments.runner import build_deployment
+from repro.runtime.codec import WireCodec
 
 pytestmark = pytest.mark.pairing
 
@@ -116,3 +124,55 @@ def test_tree_multiplicities_need_no_scalar_mult_either(scheme, shares, calls):
     assert aggregate.multiplicities == {0: 4, 1: 2, 2: 2, 3: 2}
     assert calls["_scalar_mult_ints"] == 0
     assert calls["_batch_to_affine"] == 1
+
+
+def test_second_sign_on_a_warm_message_makes_no_scalar_mult(scheme, pairs, calls):
+    message = b"vote|block-6|3|1"
+    first = scheme.sign(pairs[0].secret_key, message, 0)
+    calls.clear()
+    second = scheme.sign(pairs[1].secret_key, message, 1)
+    assert calls["_scalar_mult_ints"] == 0
+    assert calls["_batch_to_affine"] == 1  # the result's normalisation only
+    hashed = curve.hash_to_point(message, TOY_PARAMS)
+    assert (first.value, second.value) == (
+        hashed * pairs[0].secret_key,
+        hashed * pairs[1].secret_key,
+    )
+
+
+OFF_CURVE = Point.from_ints(1, 1, TOY_PARAMS)  # 1^2 != 1^3 + 1
+
+
+def _block_carrying(aggregate: AggregateSignature) -> Block:
+    qc = QuorumCertificate(block_id="abc", view=3, height=2, aggregate=aggregate, collector=0)
+    return Block(
+        height=3, view=4, proposer=0, parent_id="abc", qc=qc, payload=(), payload_bytes=0,
+        timestamp=1.0,
+    )
+
+
+def test_off_curve_aggregate_is_refused_before_the_pairing(public, calls):
+    assert not OFF_CURVE.is_on_curve()
+    scheme = BlsMultiSig(TOY_PARAMS)
+    codec = WireCodec(curve_params=TOY_PARAMS)
+    claimed = AggregateSignature(value=OFF_CURVE, multiplicities={pid: 1 for pid in public})
+    decoded = codec.decode(codec.encode(ProposalMessage(_block_carrying(claimed))))
+    aggregate = decoded.block.qc.aggregate
+    assert aggregate.value == OFF_CURVE
+    assert not scheme.verify_aggregate(aggregate, MESSAGE, public)
+    assert not scheme._aggregate_cache
+    assert calls["_fp2_pow_unitary"] == 0
+
+
+def test_proposal_whose_qc_is_off_curve_gets_no_vote(calls):
+    config = ConsensusConfig(committee_size=4, signature_scheme="bls", seed=3)
+    replica = build_deployment(config).replicas[1]  # "bls" runs on TOY_PARAMS here
+    claimed = AggregateSignature(
+        value=OFF_CURVE, multiplicities={pid: 1 for pid in range(config.quorum_size)}
+    )
+    codec = WireCodec(curve_params=TOY_PARAMS)
+    block = codec.decode(codec.encode(ProposalMessage(_block_carrying(claimed)))).block
+    calls.clear()
+    assert replica.process_proposal(block) is None
+    assert calls["_fp2_pow_unitary"] == 0
+
