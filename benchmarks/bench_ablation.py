@@ -7,22 +7,22 @@ D5 — leader-election policy under faults.
 """
 
 from benchmarks.conftest import run_once
-from repro.consensus.config import ConsensusConfig
-from repro.experiments.runner import run_experiment
-from repro.experiments.workloads import ClientWorkload
-from repro.simnet.failures import FailurePlan
+from repro import api
+from repro.experiments import specs
 
 
-def _run(config, faults, duration=4.0, load=6000, seed=3):
-    plan = FailurePlan.random_crashes(config.committee_size, faults, seed=seed) if faults else None
-    result = run_experiment(
-        config,
-        duration=duration,
-        warmup=0.5,
-        workload=ClientWorkload(rate=load, payload_size=config.payload_size),
-        failure_plan=plan,
+def _sweep(seed, grid, faults=0, duration=4.0, load=6000):
+    """One 21-replica testbed run per grid cell, in grid order.
+
+    ``faults`` replicas crash from the start, drawn from crash seed 3
+    with the initial leader eligible.
+    """
+    base = specs.testbed_base("ablation", duration=duration, warmup=0.5, seed=seed).with_(
+        committee={"size": 21},
+        workload={"rate": load},
+        faults={"crashes": faults, "crash_seed": 3, "protect_leader": False},
     )
-    return result
+    return api.sweep(base, grid)
 
 
 def test_ablation_second_chance_fallback(benchmark):
@@ -30,19 +30,17 @@ def test_ablation_second_chance_fallback(benchmark):
 
     def harness():
         rows = []
-        for scheme in ("tree", "iniva"):
-            for faults in (0, 3):
-                config = ConsensusConfig(committee_size=21, aggregation=scheme, seed=5)
-                result = _run(config, faults)
-                rows.append(
-                    {
-                        "scheme": "Iniva" if scheme == "iniva" else "Iniva-No2C",
-                        "faults": faults,
-                        "throughput_ops": round(result.throughput, 1),
-                        "avg_qc_size": round(result.average_qc_size, 2),
-                        "failed_views_pct": round(result.failed_view_fraction * 100, 2),
-                    }
-                )
+        for run in _sweep(5, {"aggregation": ["tree", "iniva"], "faults.crashes": [0, 3]}):
+            result = run.metrics
+            rows.append(
+                {
+                    "scheme": "Iniva" if run.spec.aggregation == "iniva" else "Iniva-No2C",
+                    "faults": run.spec.faults.crashes,
+                    "throughput_ops": round(result.throughput, 1),
+                    "avg_qc_size": round(result.average_qc_size, 2),
+                    "failed_views_pct": round(result.failed_view_fraction * 100, 2),
+                }
+            )
         return rows
 
     rows = run_once(benchmark, harness, "Ablation D1: 2ND-CHANCE fallback")
@@ -56,13 +54,11 @@ def test_ablation_tree_fanout(benchmark):
 
     def harness():
         rows = []
-        for num_internal in (2, 4, 10):
-            config = ConsensusConfig(committee_size=21, aggregation="iniva",
-                                     num_internal=num_internal, seed=6)
-            result = _run(config, faults=0)
+        for run in _sweep(6, {"num_internal": [2, 4, 10]}):
+            result = run.metrics
             rows.append(
                 {
-                    "internal_nodes": num_internal,
+                    "internal_nodes": run.spec.num_internal,
                     "throughput_ops": round(result.throughput, 1),
                     "latency_ms": round(result.latency.mean * 1000, 2),
                     "avg_qc_size": round(result.average_qc_size, 2),
@@ -79,13 +75,11 @@ def test_ablation_second_chance_timer(benchmark):
 
     def harness():
         rows = []
-        for delta in (0.005, 0.010):
-            config = ConsensusConfig(committee_size=21, aggregation="iniva",
-                                     second_chance_timeout=delta, seed=7)
-            result = _run(config, faults=3)
+        for run in _sweep(7, {"second_chance_timeout": [0.005, 0.010]}, faults=3):
+            result = run.metrics
             rows.append(
                 {
-                    "second_chance_ms": delta * 1000,
+                    "second_chance_ms": run.spec.second_chance_timeout * 1000,
                     "throughput_ops": round(result.throughput, 1),
                     "latency_ms": round(result.latency.mean * 1000, 2),
                     "avg_qc_size": round(result.average_qc_size, 2),
@@ -103,13 +97,13 @@ def test_ablation_leader_policy(benchmark):
 
     def harness():
         rows = []
-        for policy in ("round-robin", "carousel"):
-            config = ConsensusConfig(committee_size=21, aggregation="iniva",
-                                     leader_policy=policy, seed=8)
-            result = _run(config, faults=4, duration=5.0)
+        for run in _sweep(
+            8, {"leader_policy": ["round-robin", "carousel"]}, faults=4, duration=5.0
+        ):
+            result = run.metrics
             rows.append(
                 {
-                    "leader_policy": policy,
+                    "leader_policy": run.spec.leader_policy,
                     "throughput_ops": round(result.throughput, 1),
                     "failed_views_pct": round(result.failed_view_fraction * 100, 2),
                     "avg_qc_size": round(result.average_qc_size, 2),

@@ -13,10 +13,9 @@ qualitative claims the paper makes about them (Sections II and IV):
 """
 
 from benchmarks.conftest import run_once
+from repro import api
 from repro.consensus.config import ConsensusConfig
-from repro.experiments.runner import run_experiment
-from repro.experiments.workloads import ClientWorkload
-from repro.simnet.failures import FailurePlan
+from repro.experiments import specs
 
 COMMITTEE = 13
 SCHEMES = [
@@ -30,27 +29,22 @@ SCHEMES = [
 
 
 def _scheme_rows(faults: int, duration: float = 2.5, load: float = 4_000):
-    failure_plan = (
-        FailurePlan.random_crashes(COMMITTEE, faults, seed=11, exclude=[0]) if faults else None
+    # Crashed replicas are drawn from crash seed 11; the initial leader
+    # (process 0) is kept out of the draw.
+    base = specs.testbed_base(
+        "baselines", duration=duration, warmup=0.5, seed=1, batch_size=50, view_timeout=0.15
+    ).with_(
+        committee={"size": COMMITTEE},
+        workload={"rate": load, "seed": 7},
+        faults={"crashes": faults, "crash_seed": 11},
+    )
+    runs = api.sweep(
+        base,
+        [{"aggregation": scheme, "scheme_params": params} for _, scheme, params in SCHEMES],
     )
     rows = []
-    for label, scheme, overrides in SCHEMES:
-        config = ConsensusConfig(
-            committee_size=COMMITTEE,
-            batch_size=50,
-            payload_size=64,
-            aggregation=scheme,
-            view_timeout=0.15,
-            **overrides,
-        )
-        result = run_experiment(
-            config,
-            duration=duration,
-            warmup=0.5,
-            workload=ClientWorkload(rate=load, payload_size=64, seed=7),
-            failure_plan=failure_plan,
-            label=label,
-        )
+    for (label, _, _), run in zip(SCHEMES, runs):
+        result = run.metrics
         rows.append(
             {
                 "scheme": label,

@@ -21,6 +21,7 @@ import sys
 from repro import api
 from repro.core.rewards import RewardParams, compute_rewards
 from repro.crypto import Committee, get_scheme
+from repro.experiments import specs
 from repro.tree.overlay import AggregationTree
 
 QUICK = "--quick" in sys.argv
@@ -71,26 +72,13 @@ def aggregation_tree_demo() -> None:
 def consensus_demo() -> None:
     print("=== 3. A simulated Iniva committee (21 replicas) ===")
     # One declarative spec is the whole deployment description; api.run
-    # compiles it, runs it and hands back the unified RunResult.
-    run = api.run(
-        {
-            "name": "quickstart",
-            "aggregation": "iniva",
-            "duration": 3.0,
-            "warmup": 0.5,
-            "seed": 1,
-            # Pinned to the historical run_experiment defaults so the
-            # numbers match earlier releases: testbed latency (0.5 ms,
-            # 20 % jitter), ConsensusConfig timers, workload seed 42.
-            "delta": 0.0025,
-            "second_chance_timeout": 0.005,
-            "view_timeout": 0.25,
-            "topology": {"kind": "normal", "intra_delay": 0.0005, "jitter": 0.2},
-            "committee": {"size": 21},
-            "workload": {"rate": 8000.0, "payload_size": 64, "seed": 42},
-        },
-        quick=QUICK,
+    # compiles it, runs it and hands back the unified RunResult.  The
+    # testbed base pins the paper's single-rack latency (0.5 ms, 20 %
+    # jitter), the ConsensusConfig timers and workload seed 42.
+    spec = specs.testbed_base("quickstart", duration=3.0, warmup=0.5, seed=1).with_(
+        committee={"size": 21}, workload={"rate": 8000.0}
     )
+    run = api.run(spec, quick=QUICK)
     metrics = run.metrics
     committee_size = run.spec.committee.size
     print(f"throughput:        {metrics.throughput:,.0f} ops/sec")

@@ -26,6 +26,7 @@ import sys
 from repro import api
 from repro.aggregation.messages import SignatureMessage
 from repro.core.rewards import RewardParams, compute_rewards, validate_multiplicities
+from repro.experiments import specs
 
 QUICK = "--quick" in sys.argv
 PARAMS = RewardParams(total_reward=1.0, leader_bonus=0.15, aggregation_bonus=0.02)
@@ -34,24 +35,12 @@ DURATION = 1.0 if QUICK else 1.5
 
 
 def run_deployment():
-    deployment = api.deploy(
-        {
-            "name": "reward-audit",
-            "aggregation": "iniva",
-            "batch_size": 20,
-            "duration": DURATION,
-            "warmup": 0.1,
-            "seed": 4,
-            # Historical run_experiment defaults: testbed latency (0.5 ms,
-            # 20 % jitter) and the ConsensusConfig timers.
-            "delta": 0.0025,
-            "second_chance_timeout": 0.005,
-            "view_timeout": 0.25,
-            "topology": {"kind": "normal", "intra_delay": 0.0005, "jitter": 0.2},
-            "committee": {"size": 9},
-            "workload": {"rate": 1500.0, "payload_size": 64, "seed": 4},
-        }
-    )
+    # The paper's single-rack testbed: 0.5 ms latency with 20 % jitter
+    # and the ConsensusConfig timers.
+    spec = specs.testbed_base(
+        "reward-audit", duration=DURATION, warmup=0.1, seed=4, batch_size=20
+    ).with_(committee={"size": 9}, workload={"rate": 1500.0, "seed": 4})
+    deployment = api.deploy(spec)
     # Simulate a flaky/censored replica: its votes towards its parent are lost,
     # so it can only be included through the 2ND-CHANCE fallback.
     deployment.network.add_drop_rule(

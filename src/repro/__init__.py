@@ -20,8 +20,9 @@ command line.
 Subpackages
 -----------
 ``repro.api`` / ``repro.results``
-    The facade (``run``/``sweep``/``figure``/``deploy``) and the unified
-    :class:`RunResult` with its versioned JSON schema.
+    The facade (``run``/``sweep``/``figure``/``deploy``) and the result
+    types: per-epoch :class:`ExperimentResult` metrics inside the
+    unified :class:`RunResult` with its versioned JSON schema.
 ``repro.scenarios``
     Declarative :class:`ScenarioSpec` (committee, stake, topology,
     churn, faults, attack, workload) plus the compiler/engine and the
@@ -52,7 +53,7 @@ Subpackages
     analytic security results (Table I, closed forms) and protocol
     property checkers.
 ``repro.experiments`` / ``repro.cli``
-    The low-level deployment runner, the per-figure spec grids and the
+    The simulator deployment builder, the per-figure spec grids and the
     ``python -m repro`` command-line interface.
 """
 

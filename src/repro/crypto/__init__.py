@@ -37,6 +37,7 @@ from repro.crypto.multisig import (
     SignatureShare,
     get_scheme,
     normalize_contributions,
+    run_scheme,
 )
 from repro.crypto.hash_backend import HashMultiSig
 from repro.crypto.bls import BlsMultiSig
@@ -59,5 +60,6 @@ __all__ = [
     "VRFOutput",
     "get_scheme",
     "normalize_contributions",
+    "run_scheme",
     "vrf_view_seed",
 ]

@@ -16,7 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Mapping, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+
+from repro.crypto.params import TOY_PARAMS, CurveParams
 
 __all__ = [
     "SignatureShare",
@@ -25,6 +27,7 @@ __all__ = [
     "HashSigMultiSig",
     "get_scheme",
     "register_scheme",
+    "run_scheme",
     "normalize_contributions",
     "combined_multiplicities",
 ]
@@ -151,6 +154,10 @@ class MultiSignatureScheme(ABC):
 
     #: Human-readable backend name used by :func:`get_scheme`.
     name: str = "abstract"
+
+    #: The curve the backend's points live on (pairing backends only);
+    #: the wire codec decodes signatures and keys with it.
+    params: Optional[CurveParams] = None
 
     @abstractmethod
     def keygen(self, seed: int) -> "KeyPair":
@@ -415,6 +422,18 @@ def get_scheme(name: str, **kwargs: Any) -> MultiSignatureScheme:
         known = ", ".join(sorted(_SCHEME_REGISTRY))
         raise KeyError(f"unknown multi-signature scheme {name!r}; known: {known}") from exc
     return cls(**kwargs)
+
+
+def run_scheme(name: str) -> MultiSignatureScheme:
+    """The backend a deployment with ``signature_scheme=name`` signs with.
+
+    ``bls`` runs on :data:`~repro.crypto.params.TOY_PARAMS`: the toy curve
+    keeps pairings fast enough for committee runs.  Every runtime builds
+    its committee's keys and its wire codec's curve from this one call.
+    """
+    if name == "bls":
+        return get_scheme(name, params=TOY_PARAMS)
+    return get_scheme(name)
 
 
 register_scheme(HashSigMultiSig)

@@ -10,42 +10,15 @@ same series the paper plots:
 * :mod:`repro.experiments.resiliency` — Figure 4 (throughput, latency,
   failed views and QC sizes under crash faults).
 
-Since the ``repro.api`` redesign every figure module is a declarative
-grid of :class:`~repro.scenarios.spec.ScenarioSpec` cells (see
-:mod:`repro.experiments.specs`) fanned out through
+Each performance figure is a declarative grid of
+:class:`~repro.scenarios.spec.ScenarioSpec` cells built on
+:func:`repro.experiments.specs.testbed_base` and fanned out through
 :func:`repro.api.sweep`; the security figures grid their Monte-Carlo
 cells over the same :func:`repro.experiments.runner.parallel_map` pool.
 
-:mod:`repro.experiments.runner` provides the generic building blocks:
-deploy a committee on the simulator, attach a client workload and fault
-plan, run for a configured duration and collect metrics.
+:mod:`repro.experiments.runner` holds the simulator deployment builder
+the scenario engine compiles specs down to.
 :mod:`repro.experiments.export` turns result rows into CSV/JSON/Markdown
 artifacts and terminal plots; the same machinery backs the
 ``python -m repro`` command-line interface.
 """
-
-from repro.experiments.runner import (
-    ExperimentResult,
-    SweepSpec,
-    build_deployment,
-    parallel_map,
-    run_experiment,
-    run_sweep,
-)
-from repro.experiments.workloads import ClientWorkload
-from repro.experiments.report import format_rows, series
-from repro.experiments.export import FigureArtifact, ascii_plot
-
-__all__ = [
-    "ClientWorkload",
-    "ExperimentResult",
-    "FigureArtifact",
-    "SweepSpec",
-    "ascii_plot",
-    "build_deployment",
-    "format_rows",
-    "parallel_map",
-    "run_experiment",
-    "run_sweep",
-    "series",
-]

@@ -7,9 +7,9 @@ the average quorum-certificate size for two second-chance timers
 
 The figure is a declarative grid: one :class:`ScenarioSpec` cell per
 (variant, fault count), fanned out through :func:`repro.api.sweep`.  The
-cells disable the scenario engine's leader protection and pin the crash
-seed to ``seed + faults`` so the crash draw matches the paper harness's
-historical behaviour exactly.
+cells let the initial leader crash, as the paper's random placement
+does, and pin the crash seed to ``seed + faults`` (the golden tables'
+draw).
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Generic experiment runner: deploy, load, fail, run, measure.
+"""The simulator deployment builder and the shared sweep pool.
 
-This is the low-level deployment layer.  New code should normally go
-through the :mod:`repro.api` facade (``run``/``sweep`` over
-:class:`~repro.scenarios.spec.ScenarioSpec`), which compiles declarative
-specs down to the functions in this module; :func:`build_deployment` and
-:func:`run_experiment` remain supported entry points for callers that
-need to wire a deployment by hand.
+:func:`build_deployment` wires a simulated committee (simulator, network,
+keys, mempool, replicas) for one :class:`ConsensusConfig`, and
+:func:`summarise` reads an :class:`~repro.results.ExperimentResult` off
+it after the run.  :mod:`repro.scenarios.engine` compiles every
+:class:`~repro.scenarios.spec.ScenarioSpec` down to these two; callers
+go through the :mod:`repro.api` facade (``run`` / ``sweep`` /
+``deploy``).
 
 Sweeps over many configurations are embarrassingly parallel — every run
 owns its own simulator, network and committee — so :func:`parallel_map`
@@ -19,32 +20,22 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.leader import make_leader_election
 from repro.consensus.mempool import Mempool
 from repro.consensus.replica import HotStuffReplica
 from repro.crypto.keys import Committee
-from repro.crypto.multisig import MultiSignatureScheme, get_scheme
-from repro.crypto.params import TOY_PARAMS
-from repro.experiments.workloads import ClientWorkload
+from repro.crypto.multisig import run_scheme
+from repro.results import ExperimentResult
 from repro.simnet.events import Simulator
-from repro.simnet.failures import FailureInjector, FailurePlan
 from repro.simnet.latency import NormalLatency
-from repro.simnet.metrics import LatencyStats, MetricsCollector
+from repro.simnet.metrics import MetricsCollector
 from repro.simnet.network import Network
 
-__all__ = [
-    "Deployment",
-    "ExperimentResult",
-    "SweepSpec",
-    "build_deployment",
-    "parallel_map",
-    "run_experiment",
-    "run_sweep",
-]
+__all__ = ["Deployment", "build_deployment", "default_sweep_workers", "parallel_map", "summarise"]
 
 
 @dataclass
@@ -67,115 +58,6 @@ class Deployment:
         return [replica for replica in self.replicas if not replica.crashed]
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Headline metrics of one experiment run.
-
-    The fields mirror what the paper reports: throughput (ops/sec), client
-    latency, failed-view percentage, average QC size (vote inclusion) and
-    mean CPU utilisation, plus message counters for the overhead analysis.
-
-    ``transport`` holds per-replica transport counters (messages/bytes
-    sent, messages received) keyed by the process id as a string; the sim
-    and live runtimes fill the same schema so their results diff cleanly.
-
-    ``resilience`` carries the recovery telemetry of runs with faults:
-    per-replica crash/recovery timestamps, catch-up sync stats and (live
-    runtime) suspicion timelines, reconnect counts and worker supervision
-    events.  Empty for fault-free runs and absent from old documents.
-
-    ``clients`` carries the live runtime's client-layer telemetry:
-    admission counters (admitted/duplicate/dropped/deferred, queue
-    depths), the merged open-loop swarm summary and the client-observed
-    goodput and latency percentiles the saturation sweep plots.  Empty
-    for sim runs and absent from pre-client documents.
-
-    ``observability`` carries the merged consensus trace and metrics
-    registry of runs with ``observe.enabled`` (see :mod:`repro.observe`):
-    ``{"run_id", "enabled", "trace": {...}, "metrics": {...}}``.  Empty
-    when tracing is off and absent from pre-observability documents.
-    """
-
-    config_label: str
-    duration: float
-    throughput: float
-    latency: LatencyStats
-    failed_view_fraction: float
-    total_views: int
-    successful_views: int
-    average_qc_size: float
-    second_chance_inclusions: int
-    cpu_utilisation_mean: float
-    cpu_utilisation_max: float
-    committed_operations: int
-    committed_blocks: int
-    message_counters: Dict[str, int] = field(default_factory=dict)
-    transport: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    resilience: Dict[str, object] = field(default_factory=dict)
-    clients: Dict[str, object] = field(default_factory=dict)
-    observability: Dict[str, object] = field(default_factory=dict)
-
-    def row(self) -> Dict[str, float]:
-        """A flat representation used by the benchmark reporting."""
-        return {
-            "throughput_ops_per_sec": round(self.throughput, 1),
-            "latency_mean_ms": round(self.latency.mean * 1000, 2),
-            "latency_p90_ms": round(self.latency.p90 * 1000, 2),
-            "failed_views_pct": round(self.failed_view_fraction * 100, 2),
-            "avg_qc_size": round(self.average_qc_size, 2),
-            "cpu_mean_pct": round(self.cpu_utilisation_mean * 100, 2),
-            "cpu_max_pct": round(self.cpu_utilisation_max * 100, 2),
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "config_label": self.config_label,
-            "duration": self.duration,
-            "throughput": self.throughput,
-            "latency": self.latency.to_dict(),
-            "failed_view_fraction": self.failed_view_fraction,
-            "total_views": self.total_views,
-            "successful_views": self.successful_views,
-            "average_qc_size": self.average_qc_size,
-            "second_chance_inclusions": self.second_chance_inclusions,
-            "cpu_utilisation_mean": self.cpu_utilisation_mean,
-            "cpu_utilisation_max": self.cpu_utilisation_max,
-            "committed_operations": self.committed_operations,
-            "committed_blocks": self.committed_blocks,
-            "message_counters": dict(self.message_counters),
-            "transport": {pid: dict(counts) for pid, counts in self.transport.items()},
-            "resilience": dict(self.resilience),
-            "clients": dict(self.clients),
-            "observability": dict(self.observability),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ExperimentResult":
-        payload = dict(data)
-        payload["latency"] = LatencyStats.from_dict(payload["latency"])
-        payload["message_counters"] = {
-            str(key): int(value)
-            for key, value in dict(payload.get("message_counters", {})).items()
-        }
-        payload["transport"] = {
-            str(pid): {str(key): int(value) for key, value in dict(counts).items()}
-            for pid, counts in dict(payload.get("transport", {})).items()
-        }
-        # Absent from pre-resilience / pre-client documents; default empty.
-        payload["resilience"] = dict(payload.get("resilience", {}))
-        payload["clients"] = dict(payload.get("clients", {}))
-        payload["observability"] = dict(payload.get("observability", {}))
-        return cls(**payload)
-
-
-def _make_signature_scheme(config: ConsensusConfig) -> MultiSignatureScheme:
-    if config.signature_scheme == "bls":
-        # The toy curve keeps pairings fast enough for small integration runs.
-        return get_scheme("bls", params=TOY_PARAMS)
-    return get_scheme(config.signature_scheme)
-
-
 def build_deployment(
     config: ConsensusConfig,
     warmup: float = 0.0,
@@ -195,7 +77,7 @@ def build_deployment(
         loss_probability=loss_probability,
         link_bandwidth=link_bandwidth,
     )
-    scheme = _make_signature_scheme(config)
+    scheme = run_scheme(config.signature_scheme)
     committee = Committee(scheme, config.committee_size, seed=config.seed)
     metrics = MetricsCollector(warmup=warmup)
     mempool = Mempool(metrics=metrics)
@@ -224,73 +106,6 @@ def build_deployment(
     )
 
 
-def run_experiment(
-    config: ConsensusConfig,
-    duration: float = 10.0,
-    warmup: float = 1.0,
-    workload: Optional[ClientWorkload] = None,
-    failure_plan: Optional[FailurePlan] = None,
-    latency_model=None,
-    loss_probability: float = 0.0,
-    label: Optional[str] = None,
-) -> ExperimentResult:
-    """Run one full experiment and summarise its metrics.
-
-    Args:
-        config: The deployment configuration (scheme, committee size, ...).
-        duration: Virtual seconds to simulate (the paper runs 150 s; the
-            benches use shorter windows since the simulator is deterministic).
-        warmup: Virtual seconds excluded from rate/latency statistics.
-        workload: Client workload; defaults to a load high enough to keep
-            every block full at the configured batch size.
-        failure_plan: Optional crash-fault schedule.
-        latency_model: Override for the network latency distribution.
-        loss_probability: Probability of dropping any individual message.
-        label: Human-readable label for reporting.
-    """
-    deployment = build_deployment(
-        config, warmup=warmup, latency_model=latency_model, loss_probability=loss_probability
-    )
-    if workload is None:
-        # Default: enough load to fill batches at the expected block rate.
-        workload = ClientWorkload(rate=config.batch_size * 120, payload_size=config.payload_size)
-    workload.attach(deployment.simulator, deployment.mempool, duration)
-    if failure_plan is not None:
-        FailureInjector(deployment.simulator, deployment.network).apply(failure_plan)
-    deployment.start()
-    deployment.simulator.run(until=duration)
-    return summarise(deployment, duration, label=label)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One experiment of a sweep, self-contained and picklable.
-
-    Mirrors :func:`run_experiment`'s signature so sweeps can be described
-    declaratively and shipped to worker processes.
-    """
-
-    config: ConsensusConfig
-    duration: float = 10.0
-    warmup: float = 1.0
-    workload: Optional[ClientWorkload] = None
-    failure_plan: Optional[FailurePlan] = None
-    loss_probability: float = 0.0
-    label: Optional[str] = None
-
-
-def _run_sweep_spec(spec: SweepSpec) -> ExperimentResult:
-    return run_experiment(
-        spec.config,
-        duration=spec.duration,
-        warmup=spec.warmup,
-        workload=spec.workload,
-        failure_plan=spec.failure_plan,
-        loss_probability=spec.loss_probability,
-        label=spec.label,
-    )
-
-
 def default_sweep_workers() -> int:
     """Worker count for sweeps: ``REPRO_MAX_WORKERS`` or the CPU count."""
     env = os.environ.get("REPRO_MAX_WORKERS")
@@ -298,7 +113,7 @@ def default_sweep_workers() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise ValueError(f"REPRO_MAX_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -312,9 +127,9 @@ def parallel_map(
     """Map ``fn`` over ``items`` through the shared worker-process pool.
 
     This is the one fan-out primitive every sweep in the repository uses:
-    :func:`run_sweep`, :func:`repro.api.sweep` and the per-cell grids of
-    the figure modules all go through it.  ``fn`` and the items must be
-    picklable (module-level functions and plain data).  Results preserve
+    :func:`repro.api.sweep` and the per-cell grids of the figure modules
+    all go through it.  ``fn`` and the items must be picklable
+    (module-level functions and plain data).  Results preserve
     input order regardless of which worker finishes first; with
     ``max_workers`` (or ``REPRO_MAX_WORKERS``) equal to one everything
     runs serially in-process, which is bit-identical to the parallel run.
@@ -327,20 +142,6 @@ def parallel_map(
         return [fn(item) for item in item_list]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(fn, item_list))
-
-
-def run_sweep(
-    specs: Iterable[SweepSpec], max_workers: Optional[int] = None
-) -> List[ExperimentResult]:
-    """Run many independent experiments, in parallel where possible.
-
-    Results are returned in the order of ``specs`` regardless of which
-    worker finished first, and each run is as deterministic as a serial
-    :func:`run_experiment` call (every deployment owns its simulator and
-    seeds).  With ``max_workers`` (or ``REPRO_MAX_WORKERS``) equal to one,
-    everything runs serially in-process.
-    """
-    return parallel_map(_run_sweep_spec, specs, max_workers=max_workers)
 
 
 def summarise(deployment: Deployment, duration: float, label: Optional[str] = None) -> ExperimentResult:

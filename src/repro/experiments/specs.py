@@ -1,15 +1,16 @@
 """Shared spec-grid building blocks for the figure modules.
 
-Every performance figure (3a, 3b, 3c, 4) is now a declarative grid of
+Every performance figure (3a, 3b, 3c, 4) is a declarative grid of
 :class:`~repro.scenarios.spec.ScenarioSpec` cells over
-:func:`repro.api.sweep`.  The cells share the paper's testbed baseline:
-one rack behind a top-of-rack switch (normal latency, 0.5 ms mean, 20 %
-jitter — the historical ``run_experiment`` default) and the protocol
-timers of :class:`~repro.consensus.config.ConsensusConfig` (Δ = 2.5 ms,
-δ = 5 ms, 250 ms pacemaker), pinned so the derived-timer logic of WAN
-scenarios does not kick in.  The workload seed is pinned to the
-:class:`~repro.experiments.workloads.ClientWorkload` default (42) so the
-spec path reproduces the legacy per-figure harnesses bit for bit.
+:func:`repro.api.sweep`, and the ablation and baseline benches build
+their cells the same way.  The cells share the paper's testbed
+baseline: one rack behind a top-of-rack switch (normal latency, 0.5 ms
+mean, 20 % jitter) and the protocol timers of
+:class:`~repro.consensus.config.ConsensusConfig` (Δ = 2.5 ms, δ = 5 ms,
+250 ms pacemaker), pinned so the derived-timer logic of WAN scenarios
+does not kick in.  The workload seed is pinned to the
+:class:`~repro.experiments.workloads.ClientWorkload` default (42), which
+the golden figure tables were recorded with.
 """
 
 from __future__ import annotations

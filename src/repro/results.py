@@ -1,18 +1,15 @@
-"""The unified result type every run in the repository returns.
+"""The result types every run in the repository returns.
 
-Historically the repo had three incompatible result shapes — the raw
-:class:`~repro.experiments.runner.ExperimentResult` of one deployment,
-the scenario engine's per-epoch outcome list, and the row-oriented
-:class:`~repro.experiments.export.FigureArtifact` — none of which could
-be serialized.  :class:`RunResult` replaces the first two: it carries the
-resolved spec (config echo), the seed, the attacker coalition, and one
-:class:`EpochMetrics` per epoch (committee, overlap, stake drift and the
-full deployment metrics including latency stats), and round-trips
+:class:`ExperimentResult` holds the headline metrics of one deployment
+(one epoch of a run).  :class:`RunResult` wraps one
+:class:`EpochMetrics` per epoch — committee, overlap, stake drift and
+that epoch's :class:`ExperimentResult` — together with the resolved spec
+(config echo), the seed and the attacker coalition, and round-trips
 through a stable, versioned JSON schema via :meth:`RunResult.to_dict` /
 :meth:`RunResult.from_dict`.
 
-``repro.scenarios.run_scenario`` and the :mod:`repro.api` facade both
-return this type.
+``repro.scenarios.run_scenario``, the live runtime and the
+:mod:`repro.api` facade all return :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -22,12 +19,18 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.export import FigureArtifact
-from repro.experiments.runner import ExperimentResult
+from repro.simnet.metrics import LatencyStats
 
 if TYPE_CHECKING:  # imported lazily at runtime: scenarios.engine imports us
     from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["EpochMetrics", "RunResult", "RESULT_SCHEMA", "RESULT_LIST_SCHEMA"]
+__all__ = [
+    "EpochMetrics",
+    "ExperimentResult",
+    "RunResult",
+    "RESULT_SCHEMA",
+    "RESULT_LIST_SCHEMA",
+]
 
 #: Version tag embedded in every serialized result; bump on breaking change.
 RESULT_SCHEMA = "repro.run-result/1"
@@ -35,6 +38,108 @@ RESULT_SCHEMA = "repro.run-result/1"
 #: Version tag of the multi-run document (``repro sweep --format json``):
 #: ``{"schema": ..., "runs": [RunResult documents]}``.
 RESULT_LIST_SCHEMA = "repro.run-result-list/1"
+
+
+@dataclass(frozen=True)
+class ExperimentResult:
+    """Headline metrics of one experiment run.
+
+    The fields mirror what the paper reports: throughput (ops/sec), client
+    latency, failed-view percentage, average QC size (vote inclusion) and
+    mean CPU utilisation, plus message counters for the overhead analysis.
+
+    ``transport`` holds per-replica transport counters (messages/bytes
+    sent, messages received) keyed by the process id as a string; the sim
+    and live runtimes fill the same schema so their results diff cleanly.
+
+    ``resilience`` carries the recovery telemetry of runs with faults:
+    per-replica crash/recovery timestamps, catch-up sync stats and (live
+    runtime) suspicion timelines, reconnect counts and worker supervision
+    events.  Empty for fault-free runs and absent from old documents.
+
+    ``clients`` carries the live runtime's client-layer telemetry:
+    admission counters (admitted/duplicate/dropped/deferred, queue
+    depths), the merged open-loop swarm summary and the client-observed
+    goodput and latency percentiles the saturation sweep plots.  Empty
+    for sim runs and absent from pre-client documents.
+
+    ``observability`` carries the merged consensus trace and metrics
+    registry of runs with ``observe.enabled`` (see :mod:`repro.observe`):
+    ``{"run_id", "enabled", "trace": {...}, "metrics": {...}}``.  Empty
+    when tracing is off and absent from pre-observability documents.
+    """
+
+    config_label: str
+    duration: float
+    throughput: float
+    latency: LatencyStats
+    failed_view_fraction: float
+    total_views: int
+    successful_views: int
+    average_qc_size: float
+    second_chance_inclusions: int
+    cpu_utilisation_mean: float
+    cpu_utilisation_max: float
+    committed_operations: int
+    committed_blocks: int
+    message_counters: Dict[str, int] = field(default_factory=dict)
+    transport: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    resilience: Dict[str, object] = field(default_factory=dict)
+    clients: Dict[str, object] = field(default_factory=dict)
+    observability: Dict[str, object] = field(default_factory=dict)
+
+    def row(self) -> Dict[str, float]:
+        """A flat representation used by the benchmark reporting."""
+        return {
+            "throughput_ops_per_sec": round(self.throughput, 1),
+            "latency_mean_ms": round(self.latency.mean * 1000, 2),
+            "latency_p90_ms": round(self.latency.p90 * 1000, 2),
+            "failed_views_pct": round(self.failed_view_fraction * 100, 2),
+            "avg_qc_size": round(self.average_qc_size, 2),
+            "cpu_mean_pct": round(self.cpu_utilisation_mean * 100, 2),
+            "cpu_max_pct": round(self.cpu_utilisation_max * 100, 2),
+        }
+
+    def to_dict(self) -> Dict[str, object]:
+        """A JSON-ready representation (inverse of :meth:`from_dict`)."""
+        return {
+            "config_label": self.config_label,
+            "duration": self.duration,
+            "throughput": self.throughput,
+            "latency": self.latency.to_dict(),
+            "failed_view_fraction": self.failed_view_fraction,
+            "total_views": self.total_views,
+            "successful_views": self.successful_views,
+            "average_qc_size": self.average_qc_size,
+            "second_chance_inclusions": self.second_chance_inclusions,
+            "cpu_utilisation_mean": self.cpu_utilisation_mean,
+            "cpu_utilisation_max": self.cpu_utilisation_max,
+            "committed_operations": self.committed_operations,
+            "committed_blocks": self.committed_blocks,
+            "message_counters": dict(self.message_counters),
+            "transport": {pid: dict(counts) for pid, counts in self.transport.items()},
+            "resilience": dict(self.resilience),
+            "clients": dict(self.clients),
+            "observability": dict(self.observability),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "ExperimentResult":
+        payload = dict(data)
+        payload["latency"] = LatencyStats.from_dict(payload["latency"])
+        payload["message_counters"] = {
+            str(key): int(value)
+            for key, value in dict(payload.get("message_counters", {})).items()
+        }
+        payload["transport"] = {
+            str(pid): {str(key): int(value) for key, value in dict(counts).items()}
+            for pid, counts in dict(payload.get("transport", {})).items()
+        }
+        # Absent from pre-resilience / pre-client documents; default empty.
+        payload["resilience"] = dict(payload.get("resilience", {}))
+        payload["clients"] = dict(payload.get("clients", {}))
+        payload["observability"] = dict(payload.get("observability", {}))
+        return cls(**payload)
 
 
 @dataclass(frozen=True)

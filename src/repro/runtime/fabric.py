@@ -57,7 +57,7 @@ from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.clients.messages import ClientHello, ClientRequest
-from repro.crypto.params import TOY_PARAMS
+from repro.crypto.multisig import run_scheme
 from repro.resilience.messages import (
     Heartbeat,
     Routed,
@@ -176,8 +176,7 @@ class WorkerFabric:
         self.host = host
         self.fast_path = fast_path
         self.resilience = compiled.spec.resilience
-        params = TOY_PARAMS if compiled.config.signature_scheme == "bls" else None
-        self.codec = WireCodec(curve_params=params)
+        self.codec = WireCodec(curve_params=run_scheme(compiled.config.signature_scheme).params)
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self.port: Optional[int] = None
         self.nodes: Dict[int, Any] = {}  # pid -> hosted LiveNode (demux table)

@@ -96,8 +96,7 @@ from repro.consensus.leader import make_leader_election
 from repro.consensus.mempool import Mempool
 from repro.consensus.replica import HotStuffReplica
 from repro.crypto.keys import Committee
-from repro.crypto.params import TOY_PARAMS
-from repro.experiments.runner import ExperimentResult, _make_signature_scheme
+from repro.crypto.multisig import run_scheme
 from repro.experiments.workloads import ClientWorkload
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.metrics import merge_snapshots as merge_metrics_snapshots
@@ -105,7 +104,7 @@ from repro.observe.trace import Tracer, seeded_run_id
 from repro.observe.trace import merge_snapshots as merge_trace_snapshots
 from repro.resilience.detector import PhiAccrualDetector
 from repro.resilience.supervisor import RestartPolicy, SupervisedWorker, WorkerSupervisor
-from repro.results import EpochMetrics, RunResult
+from repro.results import EpochMetrics, ExperimentResult, RunResult
 from repro.runtime.base import Runtime, TimerHandle
 from repro.runtime.codec import FrameBatch, PreEncoded, WireCodec
 from repro.runtime.fabric import Placement, WorkerFabric
@@ -307,8 +306,7 @@ class LiveNode:
         self.loop: asyncio.AbstractEventLoop = None  # set by the fabric
         self.fabric: Optional[WorkerFabric] = None  # set by WorkerFabric.add_node
         config = compiled.config
-        params = TOY_PARAMS if config.signature_scheme == "bls" else None
-        self.codec = WireCodec(curve_params=params)
+        self.codec = WireCodec(curve_params=committee.scheme.params)
         self.metrics = MetricsCollector(warmup=0.0)
         # Observability (see repro.observe): one tracer per node — the
         # live counterpart of the sim's single deployment-wide tracer —
@@ -1130,7 +1128,7 @@ class LiveCluster:
     async def _run_tasks(self, budget: float) -> List[Dict[str, Any]]:
         size = self.compiled.config.committee_size
         committee = Committee(
-            _make_signature_scheme(self.compiled.config), size, seed=self.compiled.config.seed
+            run_scheme(self.compiled.config.signature_scheme), size, seed=self.compiled.config.seed
         )
         plan = compile_chaos_plan(self.compiled)
         # One worker hosting the whole committee: zero inter-replica TCP

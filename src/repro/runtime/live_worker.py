@@ -53,7 +53,7 @@ from typing import IO, Any, Dict
 
 from repro.chaos.plan import compile_chaos_plan
 from repro.crypto.keys import Committee
-from repro.experiments.runner import _make_signature_scheme
+from repro.crypto.multisig import run_scheme
 from repro.observe.logging_setup import configure_logging
 from repro.runtime.fabric import Placement, WorkerFabric
 from repro.runtime.live import LiveNode, ParentLink, serve_window
@@ -76,7 +76,7 @@ async def _run_nodes(config: Dict[str, Any], stdin: IO[str], stdout: IO[str]) ->
     placement = Placement.from_payload(config["placement"])
     ports = {int(w): int(port) for w, port in config["ports"].items()}
     committee = Committee(
-        _make_signature_scheme(compiled.config),
+        run_scheme(compiled.config.signature_scheme),
         compiled.config.committee_size,
         seed=compiled.config.seed,
     )

@@ -20,11 +20,11 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.attacks.byzantine import corrupt_replicas
 from repro.consensus.config import ConsensusConfig
-from repro.experiments.runner import ExperimentResult, build_deployment, summarise
+from repro.experiments.runner import build_deployment, summarise
 from repro.experiments.workloads import ClientWorkload
 from repro.membership.epochs import EpochSchedule, MembershipManager
 from repro.membership.stake import StakeRegistry
-from repro.results import EpochMetrics, RunResult
+from repro.results import EpochMetrics, ExperimentResult, RunResult
 from repro.scenarios.spec import ScenarioSpec, TopologySpec
 from repro.simnet.failures import FailureInjector, FailurePlan
 from repro.simnet.latency import (

@@ -180,8 +180,8 @@ class FaultSpec:
             seed.
         crash_exclude: Extra process ids protected from crashing.
         protect_leader: Keep process 0 (the initial leader) out of the
-            crash draw.  The legacy per-figure harnesses allowed the
-            leader to crash, so the figure specs switch this off.
+            crash draw.  The paper's random placement lets the leader
+            crash, so the figure specs switch this off.
         partitions: Timed :class:`PartitionEvent` s applied via link-level
             suppression (each epoch run gets the same schedule).
     """

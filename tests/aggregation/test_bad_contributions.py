@@ -15,8 +15,8 @@ import pytest
 
 from repro.aggregation.messages import SecondChanceReply, SignatureMessage
 from repro.consensus.config import ConsensusConfig
-from repro.crypto.multisig import AggregateSignature, SignatureShare
-from repro.experiments.runner import _make_signature_scheme, build_deployment
+from repro.crypto.multisig import AggregateSignature, SignatureShare, run_scheme
+from repro.experiments.runner import build_deployment
 from repro.experiments.workloads import ClientWorkload
 
 FORGER = 4
@@ -85,7 +85,7 @@ def certificates(deployment):
     reference = deployment.replicas[0]
     # A fresh backend: the deployment's own remembers, unchecked, every
     # aggregate its collectors built (``trust_aggregate``).
-    verifier = _make_signature_scheme(deployment.config)
+    verifier = run_scheme(deployment.config.signature_scheme)
     public_keys = deployment.committee.public_keys()
     records = []
     for block in reference.blocks.values():

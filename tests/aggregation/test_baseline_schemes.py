@@ -4,23 +4,43 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.consensus.config import ConsensusConfig
-from repro.experiments.runner import build_deployment, run_experiment
-from repro.experiments.workloads import ClientWorkload
-from repro.simnet.failures import FailurePlan
+from repro.experiments import specs
+from repro.experiments.runner import build_deployment, summarise
+from repro.simnet.failures import FailureInjector, FailurePlan
 
 
-def _run(aggregation: str, duration: float = 1.0, **overrides):
-    config = ConsensusConfig(
-        committee_size=9,
+def _spec(aggregation: str, duration: float = 1.0, view_timeout: float = 0.1, **scheme_params):
+    """A 9-replica testbed run under 2 000 req/s of 32-byte requests."""
+    return specs.testbed_base(
+        "baseline-schemes",
+        duration=duration,
+        warmup=0.1,
+        seed=1,
         batch_size=10,
-        payload_size=32,
+        view_timeout=view_timeout,
+    ).with_(
         aggregation=aggregation,
-        view_timeout=0.1,
-        **overrides,
+        committee={"size": 9},
+        scheme_params=scheme_params,
+        workload={"rate": 2_000, "payload_size": 32, "seed": 3},
     )
-    workload = ClientWorkload(rate=2_000, payload_size=32, seed=3)
-    return run_experiment(config, duration=duration, warmup=0.1, workload=workload)
+
+
+def _run(aggregation: str, duration: float = 1.0, **scheme_params):
+    return api.run(_spec(aggregation, duration, **scheme_params)).metrics
+
+
+def _run_crashing(spec, pids):
+    """Run ``spec`` with the replicas ``pids`` crashed from the start."""
+    deployment = api.deploy(spec)
+    FailureInjector(deployment.simulator, deployment.network).apply(
+        FailurePlan.crash_from_start(pids)
+    )
+    deployment.start()
+    deployment.simulator.run(until=spec.duration)
+    return summarise(deployment, spec.duration)
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +147,7 @@ def test_handel_level_partition_is_symmetric():
 
 
 def test_handel_survives_crash_faults():
-    config = ConsensusConfig(
-        committee_size=9, batch_size=10, aggregation="handel", view_timeout=0.1
-    )
-    result = run_experiment(
-        config,
-        duration=1.0,
-        warmup=0.1,
-        workload=ClientWorkload(rate=2_000, payload_size=32, seed=3),
-        failure_plan=FailurePlan.crash_from_start([8]),
-    )
+    result = _run_crashing(_spec("handel"), [8])
     assert result.committed_blocks > 0
 
 
@@ -197,15 +208,8 @@ def test_kauri_reconfiguration_epoch_and_star_fallback():
 
 def test_kauri_recovers_from_internal_crashes():
     """Crashing internal nodes degrades Kauri but view timeouts keep it live."""
-    config = ConsensusConfig(
-        committee_size=9, batch_size=10, aggregation="kauri", view_timeout=0.08,
-        kauri_fallback_threshold=2, num_internal=2,
-    )
-    result = run_experiment(
-        config,
-        duration=1.5,
-        warmup=0.1,
-        workload=ClientWorkload(rate=2_000, payload_size=32, seed=3),
-        failure_plan=FailurePlan.crash_from_start([1, 2]),
-    )
+    spec = _spec(
+        "kauri", duration=1.5, view_timeout=0.08, kauri_fallback_threshold=2
+    ).with_(num_internal=2)
+    result = _run_crashing(spec, [1, 2])
     assert result.committed_blocks > 0

@@ -8,8 +8,6 @@ import pytest
 
 import repro
 from repro import api
-from repro.experiments.runner import run_experiment
-from repro.experiments.workloads import ClientWorkload
 from repro.results import RESULT_SCHEMA, RunResult
 from repro.scenarios import load_preset, run_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -202,30 +200,6 @@ class TestFigure:
         assert artifact.rows == direct
         assert artifact.name == "fig3c"
         assert artifact.series_key == "scheme"
-
-    def test_figure_vs_legacy_runner_shim(self):
-        # The spec-grid figure path must reproduce what a hand-wired
-        # run_experiment call (the legacy per-figure harness) produced.
-        from repro.consensus.config import ConsensusConfig
-        from repro.experiments.scalability import figure_3c
-
-        rows = figure_3c(
-            seed=3, replica_counts=(5,), payload_sizes=(64,), batch_size=20,
-            load=1500, duration=0.6, warmup=0.1, max_workers=1,
-            schemes={"Iniva": "iniva"},
-        )
-        legacy = run_experiment(
-            ConsensusConfig(
-                committee_size=5, batch_size=20, payload_size=64,
-                aggregation="iniva", num_internal=2, seed=3,
-            ),
-            duration=0.6,
-            warmup=0.1,
-            workload=ClientWorkload(rate=1500, payload_size=64),
-        )
-        assert rows[0]["throughput_ops"] == round(legacy.throughput, 1)
-        assert rows[0]["latency_ms"] == round(legacy.latency.mean * 1000, 2)
-        assert rows[0]["cpu_mean_pct"] == round(legacy.cpu_utilisation_mean * 100, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -184,11 +184,11 @@ def test_driver_corrupts_attacker_replicas():
 
     async def build_nodes():
         from repro.crypto.keys import Committee
-        from repro.experiments.runner import _make_signature_scheme
+        from repro.crypto import run_scheme
         from repro.runtime.live import LiveNode
 
         committee = Committee(
-            _make_signature_scheme(cluster.compiled.config),
+            run_scheme(cluster.compiled.config.signature_scheme),
             cluster.compiled.config.committee_size,
             seed=cluster.compiled.config.seed,
         )

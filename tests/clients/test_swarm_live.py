@@ -12,8 +12,8 @@ import pytest
 from repro.clients.messages import ClientReply, ClientRequest
 from repro.clients.stats import LatencyDigest
 from repro.clients.swarm import ClientSwarm, merge_summaries
+from repro.crypto import run_scheme
 from repro.crypto.keys import Committee
-from repro.experiments.runner import _make_signature_scheme
 from repro.runtime.fabric import WorkerFabric
 from repro.runtime.live import LiveCluster, LiveNode, run_live
 from repro.scenarios.engine import compile_scenario
@@ -213,7 +213,7 @@ class _Writer:
 def test_resent_committed_request_still_gets_its_reply():
     spec = _open_loop_spec()
     compiled = compile_scenario(spec)
-    committee = Committee(_make_signature_scheme(compiled.config), 4, seed=spec.seed)
+    committee = Committee(run_scheme(compiled.config.signature_scheme), 4, seed=spec.seed)
     node = LiveNode(0, compiled, committee, epoch=0.0)
     writer = _Writer()
     request = ClientRequest(request_id=42, client_id=2, payload_size=64)

@@ -115,18 +115,15 @@ def test_make_leader_election_knows_rebop():
 
 def test_rebop_runs_inside_a_deployment():
     """End-to-end: a committee using Rebop still commits blocks."""
-    from repro.consensus.config import ConsensusConfig
-    from repro.experiments.runner import run_experiment
-    from repro.experiments.workloads import ClientWorkload
+    from repro import api
+    from repro.experiments import specs
 
-    config = ConsensusConfig(
-        committee_size=7, batch_size=10, aggregation="iniva", leader_policy="rebop",
-        view_timeout=0.1,
+    spec = specs.testbed_base(
+        "rebop", duration=1.0, warmup=0.1, seed=1, batch_size=10, view_timeout=0.1
+    ).with_(
+        committee={"size": 7},
+        leader_policy="rebop",
+        workload={"rate": 1_000, "payload_size": 32, "seed": 5},
     )
-    result = run_experiment(
-        config,
-        duration=1.0,
-        warmup=0.1,
-        workload=ClientWorkload(rate=1_000, payload_size=32, seed=5),
-    )
+    result = api.run(spec).metrics
     assert result.committed_blocks > 3

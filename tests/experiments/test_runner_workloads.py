@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro import api
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.mempool import Mempool
+from repro.crypto.params import TOY_PARAMS
+from repro.experiments import specs
 from repro.experiments.report import format_rows, series
-from repro.experiments.runner import build_deployment, run_experiment
+from repro.experiments.runner import build_deployment, summarise
 from repro.experiments.workloads import ClientWorkload
 from repro.simnet.events import Simulator
-from repro.simnet.failures import FailurePlan
+from repro.simnet.failures import FailureInjector, FailurePlan
 
 
 class TestClientWorkload:
@@ -65,6 +68,13 @@ class TestClientWorkload:
         ]
 
 
+def _spec(aggregation, seed, duration, warmup, rate, committee_size=5, view_timeout=0.25):
+    return specs.testbed_base(
+        "runner", duration=duration, warmup=warmup, seed=seed, batch_size=10,
+        view_timeout=view_timeout,
+    ).with_(aggregation=aggregation, committee={"size": committee_size}, workload={"rate": rate})
+
+
 class TestRunner:
     def test_build_deployment_wires_everything(self):
         config = ConsensusConfig(committee_size=5, aggregation="star")
@@ -77,12 +87,12 @@ class TestRunner:
         config = ConsensusConfig(committee_size=4, aggregation="star", signature_scheme="bls")
         deployment = build_deployment(config)
         assert type(deployment.committee.scheme).__name__ == "BlsMultiSig"
+        assert deployment.committee.scheme.params is TOY_PARAMS
+        hashsig = build_deployment(config.with_(signature_scheme="hashsig"))
+        assert hashsig.committee.scheme.params is None
 
-    def test_run_experiment_returns_consistent_result(self):
-        config = ConsensusConfig(committee_size=5, batch_size=10, aggregation="star", seed=1)
-        result = run_experiment(
-            config, duration=1.0, warmup=0.2, workload=ClientWorkload(rate=500, payload_size=64)
-        )
+    def test_run_returns_consistent_result(self):
+        result = api.run(_spec("star", seed=1, duration=1.0, warmup=0.2, rate=500)).metrics
         assert result.committed_operations > 0
         assert result.throughput > 0
         assert result.successful_views <= result.total_views
@@ -90,21 +100,23 @@ class TestRunner:
         assert result.message_counters["messages_sent"] > 0
 
     def test_failure_plan_reduces_throughput(self):
-        config = ConsensusConfig(
-            committee_size=7, batch_size=10, aggregation="iniva", seed=2, view_timeout=0.1
+        spec = _spec(
+            "iniva", seed=2, duration=1.5, warmup=0.2, rate=1000, committee_size=7,
+            view_timeout=0.1,
         )
-        healthy = run_experiment(config, duration=1.5, warmup=0.2,
-                                 workload=ClientWorkload(rate=1000))
-        faulty = run_experiment(config, duration=1.5, warmup=0.2,
-                                workload=ClientWorkload(rate=1000),
-                                failure_plan=FailurePlan.crash_from_start([1, 3]))
+        healthy = api.run(spec).metrics
+        deployment = api.deploy(spec)
+        FailureInjector(deployment.simulator, deployment.network).apply(
+            FailurePlan.crash_from_start([1, 3])
+        )
+        deployment.start()
+        deployment.simulator.run(until=spec.duration)
+        faulty = summarise(deployment, spec.duration)
         assert faulty.throughput < healthy.throughput
         assert faulty.failed_view_fraction >= healthy.failed_view_fraction
 
     def test_result_row_is_flat(self):
-        config = ConsensusConfig(committee_size=5, batch_size=10, aggregation="star", seed=3)
-        result = run_experiment(config, duration=0.8, warmup=0.1,
-                                workload=ClientWorkload(rate=500))
+        result = api.run(_spec("star", seed=3, duration=0.8, warmup=0.1, rate=500)).metrics
         row = result.row()
         assert set(row) == {
             "throughput_ops_per_sec",

@@ -1,51 +1,30 @@
-"""Tests for the parallel sweep runner."""
+"""Tests for the sweep pool and the figure grids built on it."""
 
 from __future__ import annotations
 
-from repro.consensus.config import ConsensusConfig
-from repro.experiments.runner import SweepSpec, run_experiment, run_sweep
+import pytest
+
+from repro import api
+from repro.experiments.runner import default_sweep_workers, parallel_map
 from repro.experiments.scalability import figure_3c
-from repro.experiments.workloads import ClientWorkload
-
-
-def _specs():
-    return [
-        SweepSpec(
-            config=ConsensusConfig(committee_size=n, aggregation="iniva", seed=2),
-            duration=0.6,
-            warmup=0.1,
-            workload=ClientWorkload(rate=800, payload_size=16),
-            label=f"n={n}",
-        )
-        for n in (4, 7)
-    ]
 
 
 class TestRunSweep:
-    def test_serial_matches_run_experiment(self):
-        specs = _specs()
-        swept = run_sweep(specs, max_workers=1)
-        direct = [
-            run_experiment(
-                spec.config,
-                duration=spec.duration,
-                warmup=spec.warmup,
-                workload=spec.workload,
-                label=spec.label,
-            )
-            for spec in specs
-        ]
-        assert [r.row() for r in swept] == [r.row() for r in direct]
-        assert [r.config_label for r in swept] == ["n=4", "n=7"]
-
-    def test_parallel_matches_serial(self):
-        specs = _specs()
-        serial = run_sweep(specs, max_workers=1)
-        parallel = run_sweep(specs, max_workers=2)
-        assert [r.row() for r in parallel] == [r.row() for r in serial]
-
     def test_empty_sweep(self):
-        assert run_sweep([]) == []
+        assert api.sweep({"name": "empty-grid"}, []) == []
+
+    def test_worker_count_from_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
+        assert default_sweep_workers() == 3
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
+        assert default_sweep_workers() == 1
+
+    def test_bad_worker_count_env_is_an_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "abc")
+        with pytest.raises(ValueError, match="REPRO_MAX_WORKERS.*'abc'"):
+            default_sweep_workers()
+        with pytest.raises(ValueError, match="REPRO_MAX_WORKERS"):
+            parallel_map(abs, [1, -2])
 
 
 class TestFigure3cSweep:

@@ -6,8 +6,6 @@ import random
 
 import pytest
 
-from repro.consensus.config import ConsensusConfig
-from repro.experiments.workloads import ClientWorkload
 from repro.simnet.topology import MatrixLatency, RackTopologyLatency
 
 
@@ -64,19 +62,19 @@ def test_matrix_latency_lookup_and_validation():
 
 def test_geo_distributed_committee_still_commits():
     """Iniva stays live on a two-region topology with 20 ms cross-region latency."""
-    from repro.experiments.runner import run_experiment
+    from repro import api
+    from repro.experiments import specs
 
-    config = ConsensusConfig(
-        committee_size=9, batch_size=10, aggregation="iniva",
-        delta=0.03, second_chance_timeout=0.02, view_timeout=0.5,
+    spec = specs.testbed_base(
+        "geo", duration=3.0, warmup=0.5, seed=1, batch_size=10, view_timeout=0.5
+    ).with_(
+        committee={"size": 9},
+        delta=0.03,
+        second_chance_timeout=0.02,
+        topology={"kind": "rack", "regions": 2, "intra_delay": 0.0005, "inter_delay": 0.02,
+                  "jitter": 0.1},
+        workload={"rate": 500, "payload_size": 32, "seed": 4},
     )
-    topology = RackTopologyLatency.evenly_spread(9, 2, intra_delay=0.0005, inter_delay=0.02)
-    result = run_experiment(
-        config,
-        duration=3.0,
-        warmup=0.5,
-        workload=ClientWorkload(rate=500, payload_size=32, seed=4),
-        latency_model=topology,
-    )
+    result = api.run(spec).metrics
     assert result.committed_blocks > 0
     assert result.latency.mean > 0.02  # cross-region hops dominate latency
