@@ -87,7 +87,7 @@ def consensus_demo() -> None:
           "(Iniva includes every correct vote)")
     print(f"failed views:      {metrics.failed_view_fraction * 100:.1f}%")
     print(f"CPU utilisation:   {metrics.cpu_utilisation_mean * 100:.1f}% (mean per replica)")
-    print("full JSON document: run.to_json() — stable repro.run-result/1 schema")
+    print("full JSON document: run.to_json() — stable repro.run-result/2 schema")
 
 
 if __name__ == "__main__":

@@ -21,11 +21,11 @@ Subpackages
 -----------
 ``repro.api`` / ``repro.results``
     The facade (``run``/``sweep``/``figure``/``deploy``) and the result
-    types: per-epoch :class:`ExperimentResult` metrics inside the
+    types: one run's :class:`ExperimentResult` metrics inside the
     unified :class:`RunResult` with its versioned JSON schema.
 ``repro.scenarios``
-    Declarative :class:`ScenarioSpec` (committee, stake, topology,
-    churn, faults, attack, workload) plus the compiler/engine and the
+    Declarative :class:`ScenarioSpec` (committee, topology, faults,
+    attack, workload) plus the compiler/engine and the
     built-in preset catalogue.
 ``repro.core``
     The paper's contribution: the Iniva aggregation protocol, its reward
@@ -33,12 +33,9 @@ Subpackages
     path and the Rebop reputation election.
 ``repro.crypto``
     Indivisible multi-signature substrate (pure-Python BLS and a fast
-    hash-based simulation backend) plus a VRF built on either backend.
+    hash-based simulation backend).
 ``repro.tree``
     Deterministic shuffling and two-level aggregation trees.
-``repro.membership``
-    Dynamic committees: stake registry, stake-weighted selection, VRF
-    sortition, epoch schedules and reward-to-stake feedback.
 ``repro.simnet``
     Discrete-event network simulator (processes, timers, latency models
     and topologies, fault injection, metrics, message tracing).

@@ -135,7 +135,7 @@ def run(
 
     Returns:
         One :class:`RunResult`; ``to_json()`` emits the stable
-        ``repro.run-result/1`` document for archival and diffing.
+        ``repro.run-result/2`` document for archival and diffing.
     """
     spec = resolve_spec(spec_or_preset)
     if seed is not None:
@@ -154,9 +154,7 @@ def run(
     return run_scenario(spec, quick=quick)
 
 
-def deploy(
-    spec_or_preset: SpecLike, *, quick: bool = False, epoch: int = 0, runtime: str = "sim"
-):
+def deploy(spec_or_preset: SpecLike, *, quick: bool = False, runtime: str = "sim"):
     """Compile a spec into a fully wired, not-yet-started deployment.
 
     With ``runtime="sim"`` (default) the workload is attached and
@@ -170,7 +168,7 @@ def deploy(
     spec = resolve_spec(spec_or_preset)
     if quick:
         spec = spec.quick()
-    return build_scenario_deployment(compile_scenario(spec), epoch, runtime=runtime)
+    return build_scenario_deployment(compile_scenario(spec), runtime=runtime)
 
 
 # ---------------------------------------------------------------------------

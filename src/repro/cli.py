@@ -24,7 +24,7 @@ and durations) so every command finishes in seconds; dropping it uses the
 defaults the benchmarks use (minutes).  Use ``--output-dir`` to also
 write CSV/JSON/Markdown artifacts.  ``--format json`` always emits a
 versioned schema document: the full
-:class:`~repro.results.RunResult` document (config echo, seed, per-epoch
+:class:`~repro.results.RunResult` document (config echo, seed, the run's
 metrics, per-replica transport counters) for ``run``/``scenario``/
 ``live``, a run-result *list* document for ``sweep``, and the
 ``repro.figure/1`` document for the figure commands.  ``scenario`` and
@@ -455,9 +455,6 @@ def _sweep_artifact(
         name=f"sweep-{results[0].spec.name}" if results else "sweep",
         title=f"Sweep over {args.spec} ({len(results)} cells)",
         rows=rows,
-        series_key="cell",
-        x="epoch",
-        y="throughput_ops",
     )
 
 

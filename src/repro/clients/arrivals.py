@@ -83,9 +83,8 @@ class ArrivalModel:
 class PoissonArrivals(ArrivalModel):
     """Memoryless arrivals: exponential gaps at the configured rate.
 
-    One ``rng.expovariate(rate)`` draw per arrival — exactly the draw
-    sequence the legacy ``jitter=True`` workload consumed, which keeps
-    fixed-seed sim schedules (and the goldens built on them) unchanged.
+    One ``rng.expovariate(rate)`` draw per arrival; the figure goldens
+    pin this draw sequence, so it must not change.
     """
 
     name = "poisson"
@@ -96,7 +95,7 @@ class PoissonArrivals(ArrivalModel):
 
 @dataclass(frozen=True)
 class UniformArrivals(ArrivalModel):
-    """Evenly spaced arrivals (the legacy ``jitter=False`` behaviour).
+    """Evenly spaced arrivals.
 
     Consumes no randomness: the gap is always ``1 / rate``.
     """

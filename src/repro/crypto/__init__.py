@@ -42,7 +42,6 @@ from repro.crypto.multisig import (
 from repro.crypto.hash_backend import HashMultiSig
 from repro.crypto.bls import BlsMultiSig
 from repro.crypto.params import CurveParams, DEFAULT_PARAMS, TOY_PARAMS
-from repro.crypto.vrf import VRF, VRFOutput, vrf_view_seed
 
 __all__ = [
     "AggregateSignature",
@@ -56,10 +55,7 @@ __all__ = [
     "MultiSignatureScheme",
     "SignatureShare",
     "TOY_PARAMS",
-    "VRF",
-    "VRFOutput",
     "get_scheme",
     "normalize_contributions",
     "run_scheme",
-    "vrf_view_seed",
 ]

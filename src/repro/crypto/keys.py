@@ -35,9 +35,9 @@ class Committee:
     """The fixed set of committee processes and their public keys.
 
     Process identities are the integers ``0 .. n-1``.  Per the paper's
-    system model the membership is fixed for the duration of a run (the
+    system model the committee is fixed for the duration of a run (the
     per-view *role* of a process is determined by the deterministic
-    shuffle in :mod:`repro.tree`, not by changing membership).
+    shuffle in :mod:`repro.tree`, not by changing the committee).
     """
 
     def __init__(self, scheme: "MultiSignatureScheme", size: int, seed: int = 0) -> None:

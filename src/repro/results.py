@@ -1,12 +1,10 @@
 """The result types every run in the repository returns.
 
-:class:`ExperimentResult` holds the headline metrics of one deployment
-(one epoch of a run).  :class:`RunResult` wraps one
-:class:`EpochMetrics` per epoch — committee, overlap, stake drift and
-that epoch's :class:`ExperimentResult` — together with the resolved spec
-(config echo), the seed and the attacker coalition, and round-trips
-through a stable, versioned JSON schema via :meth:`RunResult.to_dict` /
-:meth:`RunResult.from_dict`.
+:class:`ExperimentResult` holds the headline metrics of one deployment.
+:class:`RunResult` wraps the run's :class:`ExperimentResult` together
+with the resolved spec (config echo), the seed and the attacker
+coalition, and round-trips through a stable, versioned JSON schema via
+:meth:`RunResult.to_dict` / :meth:`RunResult.from_dict`.
 
 ``repro.scenarios.run_scenario``, the live runtime and the
 :mod:`repro.api` facade all return :class:`RunResult`.
@@ -25,7 +23,6 @@ if TYPE_CHECKING:  # imported lazily at runtime: scenarios.engine imports us
     from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
-    "EpochMetrics",
     "ExperimentResult",
     "RunResult",
     "RESULT_SCHEMA",
@@ -33,7 +30,7 @@ __all__ = [
 ]
 
 #: Version tag embedded in every serialized result; bump on breaking change.
-RESULT_SCHEMA = "repro.run-result/1"
+RESULT_SCHEMA = "repro.run-result/2"
 
 #: Version tag of the multi-run document (``repro sweep --format json``):
 #: ``{"schema": ..., "runs": [RunResult documents]}``.
@@ -142,39 +139,6 @@ class ExperimentResult:
         return cls(**payload)
 
 
-@dataclass(frozen=True)
-class EpochMetrics:
-    """One epoch's committee and its deployment metrics."""
-
-    epoch: int
-    committee: Tuple[int, ...]  # validator ids holding the seats
-    overlap: float  # committee overlap with the previous epoch
-    stake_gini: Optional[float]  # inequality of the pool, post-feedback
-    result: ExperimentResult
-
-    def to_dict(self) -> Dict[str, Any]:
-        """One ``epochs[]`` entry of the JSON document (inverse of
-        :meth:`from_dict`)."""
-        return {
-            "epoch": self.epoch,
-            "committee": list(self.committee),
-            "overlap": self.overlap,
-            "stake_gini": self.stake_gini,
-            "metrics": self.result.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EpochMetrics":
-        """Rebuild an epoch record from its :meth:`to_dict` document."""
-        return cls(
-            epoch=int(data["epoch"]),
-            committee=tuple(int(pid) for pid in data["committee"]),
-            overlap=float(data["overlap"]),
-            stake_gini=None if data.get("stake_gini") is None else float(data["stake_gini"]),
-            result=ExperimentResult.from_dict(data["metrics"]),
-        )
-
-
 @dataclass
 class RunResult:
     """Everything one ``repro.api.run`` call produced.
@@ -182,7 +146,7 @@ class RunResult:
     Attributes:
         spec: The spec that actually ran (after any ``quick`` shrink) —
             the full config echo.
-        epochs: Per-epoch metrics; single-epoch runs have exactly one.
+        metrics: The run's headline metrics.
         attackers: Process ids of the Byzantine coalition ("attack
             outcome" echo; empty without an active attack).
         runtime: Which substrate executed the run — ``"sim"``
@@ -193,7 +157,7 @@ class RunResult:
     """
 
     spec: ScenarioSpec
-    epochs: List[EpochMetrics] = field(default_factory=list)
+    metrics: ExperimentResult
     attackers: Tuple[int, ...] = ()
     runtime: str = "sim"
     wall_clock_seconds: Optional[float] = None
@@ -205,25 +169,18 @@ class RunResult:
         return self.spec.seed
 
     @property
-    def metrics(self) -> ExperimentResult:
-        """The first (for single-epoch runs: the only) epoch's metrics."""
-        if not self.epochs:
-            raise ValueError("run produced no epochs")
-        return self.epochs[0].result
-
-    @property
     def latency(self):
-        """Latency stats of the first epoch (see :class:`LatencyStats`)."""
+        """Latency stats of the run (see :class:`LatencyStats`)."""
         return self.metrics.latency
 
     @property
     def transport(self) -> Dict[str, Dict[str, int]]:
-        """Per-replica transport counters of the first epoch."""
+        """Per-replica transport counters of the run."""
         return self.metrics.transport
 
     @property
     def resilience(self) -> Dict[str, object]:
-        """Recovery telemetry of the first epoch.
+        """Recovery telemetry of the run.
 
         ``per_replica`` maps process ids to crash/recovery timestamps,
         catch-up sync counts and (live runtime) suspicion timelines and
@@ -235,7 +192,7 @@ class RunResult:
 
     @property
     def clients(self) -> Dict[str, object]:
-        """Client-layer telemetry of the first epoch (live runs).
+        """Client-layer telemetry of the run (live runs).
 
         ``admission`` sums each replica's admission verdicts (admitted /
         duplicate / dropped / deferred plus queue depths); open-loop runs
@@ -247,8 +204,8 @@ class RunResult:
 
     @property
     def observability(self) -> Dict[str, object]:
-        """The merged consensus trace and metrics registry of the first
-        epoch (runs with ``observe.enabled``; see :mod:`repro.observe`).
+        """The merged consensus trace and metrics registry of the run
+        (runs with ``observe.enabled``; see :mod:`repro.observe`).
 
         ``trace`` is a mergeable tracer snapshot (``run_id`` / ``dropped``
         / ``events``) ready for :func:`repro.observe.trace_document`;
@@ -259,16 +216,13 @@ class RunResult:
 
     # -- row/summary/artifact views ---------------------------------------------
     def rows(self) -> List[Dict[str, object]]:
-        """One flat export row per epoch (throughput, latency, QC size,
+        """The run as one flat export row (throughput, latency, QC size,
         fault counters) — the tabular view ``artifact()`` and the CLI
         table/CSV formats render."""
-        rows: List[Dict[str, object]] = []
-        for outcome in self.epochs:
-            result = outcome.result
-            row: Dict[str, object] = {
+        result = self.metrics
+        return [
+            {
                 "scenario": self.spec.name,
-                "epoch": outcome.epoch,
-                "committee_overlap_pct": round(outcome.overlap * 100, 1),
                 "throughput_ops": round(result.throughput, 1),
                 "latency_ms": round(result.latency.mean * 1000, 2),
                 "latency_p90_ms": round(result.latency.p90 * 1000, 2),
@@ -279,46 +233,32 @@ class RunResult:
                 "messages_dropped": result.message_counters.get("messages_dropped", 0),
                 "messages_blocked": result.message_counters.get("messages_blocked", 0),
             }
-            if outcome.stake_gini is not None:
-                row["stake_gini"] = round(outcome.stake_gini, 4)
-            rows.append(row)
-        return rows
+        ]
 
     def summary(self) -> Dict[str, float]:
-        """Run-level aggregates over all epochs."""
-        if not self.epochs:
-            return {}
-        results = [outcome.result for outcome in self.epochs]
-        total_views = sum(r.total_views for r in results)
-        failed = sum(r.total_views - r.successful_views for r in results)
+        """Run-level aggregates."""
+        result = self.metrics
+        failed = result.total_views - result.successful_views
         return {
-            "epochs": float(len(results)),
-            "throughput_ops": sum(r.throughput for r in results) / len(results),
-            "latency_mean_ms": 1000
-            * sum(r.latency.mean for r in results)
-            / len(results),
-            "failed_views_pct": 100.0 * failed / total_views if total_views else 0.0,
-            "avg_qc_size": sum(r.average_qc_size for r in results) / len(results),
-            "committed_blocks": float(sum(r.committed_blocks for r in results)),
-            "messages_blocked": float(
-                sum(r.message_counters.get("messages_blocked", 0) for r in results)
-            ),
-            "second_chance_votes": float(sum(r.second_chance_inclusions for r in results)),
+            "throughput_ops": result.throughput,
+            "latency_mean_ms": 1000 * result.latency.mean,
+            "failed_views_pct": 100.0 * failed / result.total_views
+            if result.total_views
+            else 0.0,
+            "avg_qc_size": result.average_qc_size,
+            "committed_blocks": float(result.committed_blocks),
+            "messages_blocked": float(result.message_counters.get("messages_blocked", 0)),
+            "second_chance_votes": float(result.second_chance_inclusions),
         }
 
     def artifact(self) -> FigureArtifact:
         """Package :meth:`rows` as a :class:`FigureArtifact` whose
-        ``write()`` exports CSV/JSON/Markdown/plot files; multi-epoch
-        runs plot throughput per epoch."""
-        multi_epoch = len(self.epochs) > 1
+        ``write()`` exports CSV/JSON/Markdown files."""
         return FigureArtifact(
             name=f"scenario-{self.spec.name}",
             title=f"Scenario: {self.spec.name}"
             + (f" — {self.spec.description}" if self.spec.description else ""),
             rows=self.rows(),
-            series_key="scenario" if multi_epoch else None,
-            x="epoch" if multi_epoch else None,
-            y="throughput_ops" if multi_epoch else None,
         )
 
     # -- stable JSON schema -----------------------------------------------------
@@ -331,7 +271,7 @@ class RunResult:
             "seed": self.seed,
             "attackers": list(self.attackers),
             "wall_clock_seconds": self.wall_clock_seconds,
-            "epochs": [outcome.to_dict() for outcome in self.epochs],
+            "metrics": self.metrics.to_dict(),
             "summary": self.summary(),
         }
 
@@ -351,7 +291,7 @@ class RunResult:
         wall_clock = data.get("wall_clock_seconds")
         return cls(
             spec=ScenarioSpec.from_dict(data["spec"]),
-            epochs=[EpochMetrics.from_dict(entry) for entry in data["epochs"]],
+            metrics=ExperimentResult.from_dict(data["metrics"]),
             attackers=tuple(int(pid) for pid in data.get("attackers", ())),
             runtime=str(data.get("runtime", "sim")),
             wall_clock_seconds=None if wall_clock is None else float(wall_clock),

@@ -53,11 +53,9 @@ compiled from the same spec the simulator consumes (see
 identically on the fast path and the TCP path; timed partitions suppress
 directed links with reference counts, crash timers stop — and restart
 timers recover — the local replica, and Byzantine omission cartels run
-the adversarial aggregators from :mod:`repro.attacks`.  Multi-epoch
-churn re-provisions the cluster per epoch through the shared
-:func:`repro.scenarios.engine.run_epochs` orchestrator.  The scheduled
-fault driver and churn loop need task mode; ``validate_live_spec``
-rejects those spec fields under ``--procs``.
+the adversarial aggregators from :mod:`repro.attacks`.  The scheduled
+fault driver needs task mode; ``validate_live_spec`` rejects those spec
+fields under ``--procs``.
 
 Resilience (see :mod:`repro.resilience`): worker-pair links are
 :class:`~repro.resilience.session.PeerSession` objects — sequenced
@@ -104,17 +102,12 @@ from repro.observe.trace import Tracer, seeded_run_id
 from repro.observe.trace import merge_snapshots as merge_trace_snapshots
 from repro.resilience.detector import PhiAccrualDetector
 from repro.resilience.supervisor import RestartPolicy, SupervisedWorker, WorkerSupervisor
-from repro.results import EpochMetrics, ExperimentResult, RunResult
+from repro.results import ExperimentResult, RunResult
 from repro.runtime.base import Runtime, TimerHandle
 from repro.runtime.codec import FrameBatch, PreEncoded, WireCodec
 from repro.runtime.fabric import Placement, WorkerFabric
 from repro.runtime.net import run_loop
-from repro.scenarios.engine import (
-    CompiledScenario,
-    compile_scenario,
-    compiled_for_epoch,
-    run_epochs,
-)
+from repro.scenarios.engine import CompiledScenario, compile_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.simnet.metrics import LatencyStats, MetricsCollector
 
@@ -143,9 +136,9 @@ START_MARGIN = 0.02
 #: spec feature the live runtime cannot execute in the given deployment
 #: shape — ``(spec fields, why, predicate(spec, procs))``.  Everything
 #: not listed here (partitions, loss, WAN latency, bandwidth, Byzantine
-#: cartels, crash/restart churn, membership epochs, stake pools) is
-#: supported since the chaos layer landed; the scheduled fault driver and
-#: the churn loop coordinate in-process, so those features need task mode.
+#: cartels, crash/restart churn) is supported since the chaos layer
+#: landed; the scheduled fault driver coordinates in-process, so those
+#: features need task mode.
 _LIVE_UNSUPPORTED = (
     (
         "faults.partitions",
@@ -162,11 +155,6 @@ _LIVE_UNSUPPORTED = (
         "Byzantine cartels need the in-process fault driver (task mode)",
         lambda spec, procs: procs > 1 and spec.attack.strategy != "none",
     ),
-    (
-        "churn.epochs",
-        "membership churn re-provisions the cluster once per epoch (task mode)",
-        lambda spec, procs: procs > 1 and spec.churn.epochs > 1,
-    ),
 )
 
 
@@ -174,7 +162,7 @@ def validate_live_spec(spec: ScenarioSpec, *, procs: int = 1) -> None:
     """Capability-based validation of a spec for the live runtime.
 
     Every built-in preset — partitions, loss, WAN shaping, omission
-    cartels, churn — runs live in task mode; only the capability table's
+    cartels, crash/restart — runs live in task mode; only the capability table's
     entries are rejected, with an error naming the offending spec fields
     so the caller knows exactly what to change.
     """
@@ -597,7 +585,7 @@ class LiveNode:
             arrival=spec.workload.arrival,
             burst_factor=spec.workload.burst_factor,
             period=spec.workload.arrival_period,
-        ).preload_into(self.mempool, self.compiled.epoch_duration)
+        ).preload_into(self.mempool, spec.duration)
 
     def start_protocol(self, request_sync: bool = False) -> None:
         """Preload the workload (if not yet), arm chaos, start the replica.
@@ -1049,9 +1037,6 @@ class LiveCluster:
     #: Pass a precompiled scenario to skip recompiling the spec (the
     #: engine's ``build_scenario_deployment(runtime="live")`` does).
     compiled: Optional[CompiledScenario] = None
-    #: Which churn epoch this cluster serves; shifts the config seed the
-    #: same way the sim runtime does (see ``compiled_for_epoch``).
-    epoch: int = 0
     node_summaries: List[Dict[str, Any]] = field(default_factory=list)
     #: The last serve window's record (elapsed / quiesced / all_ready).
     window_info: Dict[str, Any] = field(default_factory=dict)
@@ -1065,64 +1050,30 @@ class LiveCluster:
         validate_live_spec(self.spec, procs=self.procs)
         if self.procs < 1:
             raise ValueError("procs must be >= 1")
-        if self.epoch and self.procs > 1:
-            raise ValueError("multi-epoch clusters run in task mode (procs=1)")
         if self.compiled is None:
             self.compiled = compile_scenario(self.spec)
         elif self.compiled.spec is not self.spec:
             raise ValueError("compiled scenario does not belong to this spec")
-        self.compiled = compiled_for_epoch(self.compiled, self.epoch)
 
     # -- public API --------------------------------------------------------------
     def run(self) -> RunResult:
-        """Serve the spec and return a :class:`RunResult`.
-
-        A multi-epoch churn spec (unless this cluster was built for one
-        specific ``epoch``) is handed to the :func:`run_live` orchestrator
-        so committee re-selection and reward feedback happen exactly as
-        they would through ``api.run(runtime="live")`` — a deploy-then-run
-        must never silently truncate to epoch 0.
-        """
-        if self.epoch == 0 and self.spec.churn.epochs > 1:
-            return run_live(
-                self.spec,
-                duration=self.duration,
-                target_blocks=self.target_blocks,
-                procs=self.procs,
-            )
+        """Bring the committee up, serve the window, and return a
+        :class:`RunResult`."""
         started = time.perf_counter()
-        result, _crashed = self.run_epoch()
-        elapsed = time.perf_counter() - started
-        epoch_metrics = EpochMetrics(
-            epoch=self.epoch,
-            committee=tuple(range(self.compiled.config.committee_size)),
-            overlap=1.0,
-            stake_gini=None,
-            result=result,
-        )
-        return RunResult(
-            spec=self.spec,
-            epochs=[epoch_metrics],
-            attackers=self.compiled.attacker_ids,
-            runtime="live",
-            wall_clock_seconds=elapsed,
-        )
-
-    def run_epoch(self) -> Tuple[ExperimentResult, set]:
-        """Bring the committee up, serve the window, summarise.
-
-        Returns the epoch's metrics plus the set of process ids that
-        ended the epoch crashed (the ``run_epochs`` orchestrator excludes
-        them from reward feedback, exactly like the sim runtime).
-        """
-        budget = self.duration if self.duration is not None else self.compiled.epoch_duration
+        budget = self.duration if self.duration is not None else self.spec.duration
         if self.procs > 1:
             summaries = self._run_subprocesses(budget)
         else:
             summaries = run_loop(self._run_tasks(budget))
         self.node_summaries = sorted(summaries, key=lambda s: s["pid"])
-        crashed = {s["pid"] for s in self.node_summaries if s["crashed"]}
-        return self._experiment_result(), crashed
+        metrics = self._experiment_result()
+        return RunResult(
+            spec=self.spec,
+            metrics=metrics,
+            attackers=self.compiled.attacker_ids,
+            runtime="live",
+            wall_clock_seconds=time.perf_counter() - started,
+        )
 
     # -- task mode ---------------------------------------------------------------
     async def _run_tasks(self, budget: float) -> List[Dict[str, Any]]:
@@ -1459,29 +1410,12 @@ def run_live(
 
     ``quick`` applies the same :meth:`ScenarioSpec.quick` shrink the CLI
     and CI use and caps the run at 12 committed blocks so a smoke run
-    returns in a couple of seconds.  Multi-epoch churn specs re-provision
-    the cluster once per epoch (crash-restart of the whole committee)
-    through the same :func:`~repro.scenarios.engine.run_epochs`
-    orchestrator the sim runtime uses, so committee selection, reward
-    feedback and stake drift behave identically; ``duration`` and
-    ``target_blocks`` then apply per epoch.
+    returns in a couple of seconds.
     """
     if quick:
         spec = spec.quick()
         if target_blocks is None:
             target_blocks = 12
-    validate_live_spec(spec, procs=procs)
-    compiled = compile_scenario(spec)
-
-    def live_epoch(compiled_scenario: CompiledScenario, epoch: int):
-        cluster = LiveCluster(
-            spec=spec,
-            duration=duration,
-            target_blocks=target_blocks,
-            procs=procs,
-            compiled=compiled_scenario,
-            epoch=epoch,
-        )
-        return cluster.run_epoch()
-
-    return run_epochs(spec, compiled, live_epoch, runtime_name="live")
+    return LiveCluster(
+        spec=spec, duration=duration, target_blocks=target_blocks, procs=procs
+    ).run()

@@ -1,9 +1,9 @@
 """Declarative scenario engine for adversarial and WAN campaigns.
 
-One :class:`ScenarioSpec` composes committee size and stake distribution,
-topology and per-link bandwidth, churn across epochs, crash/partition
-schedules, a Byzantine strategy mix and the client workload — and
-compiles into a configured, fully seeded simulator run:
+One :class:`ScenarioSpec` composes committee size, topology and per-link
+bandwidth, crash/partition schedules, a Byzantine strategy mix and the
+client workload — and compiles into a configured, fully seeded
+simulator run:
 
     >>> from repro.scenarios import load_preset, run_scenario
     >>> result = run_scenario(load_preset("partition-heal"), quick=True)
@@ -13,8 +13,8 @@ compiles into a configured, fully seeded simulator run:
 Specs round-trip through dicts, JSON and YAML-lite files, so campaigns
 live in version control instead of copy-pasted Python; the built-in
 catalogue (``python -m repro scenario --list``) covers WAN spreads,
-churn, partitions, crash storms, lossy links, bandwidth crunches and
-omission cartels.
+partitions, crash storms, crash-restart, lossy links, bandwidth crunches,
+open-loop clients and omission cartels.
 
 The :mod:`repro.api` facade is the preferred entry point
 (``repro.run``/``repro.sweep`` accept preset names, spec files and
@@ -32,7 +32,6 @@ from repro.scenarios.engine import (
 from repro.scenarios.presets import PRESETS, load_preset, preset_names
 from repro.scenarios.spec import (
     AttackSpec,
-    ChurnSpec,
     CommitteeSpec,
     FaultSpec,
     ScenarioSpec,
@@ -43,7 +42,6 @@ from repro.scenarios.spec import (
 
 __all__ = [
     "AttackSpec",
-    "ChurnSpec",
     "CommitteeSpec",
     "CompiledScenario",
     "FaultSpec",

@@ -3,9 +3,8 @@
 :func:`compile_scenario` turns a :class:`ScenarioSpec` into the concrete
 ingredients of a simulator run — a :class:`ConsensusConfig`, a latency
 model, a per-link bandwidth model, a crash plan, partition schedules and
-the attacker coalition — and :func:`run_scenario` executes it epoch by
-epoch through :mod:`repro.experiments.runner`, re-selecting the committee
-from the stake registry between epochs when the spec asks for churn.
+the attacker coalition — and :func:`run_scenario` executes it through
+:mod:`repro.experiments.runner`.
 
 Everything is seeded from the spec, so a fixed spec produces identical
 finalized-view metrics on every run.
@@ -16,15 +15,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace as dataclass_replace
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from repro.attacks.byzantine import corrupt_replicas
 from repro.consensus.config import ConsensusConfig
 from repro.experiments.runner import build_deployment, summarise
 from repro.experiments.workloads import ClientWorkload
-from repro.membership.epochs import EpochSchedule, MembershipManager
-from repro.membership.stake import StakeRegistry
-from repro.results import EpochMetrics, ExperimentResult, RunResult
+from repro.results import RunResult
 from repro.scenarios.spec import ScenarioSpec, TopologySpec
 from repro.simnet.failures import FailureInjector, FailurePlan
 from repro.simnet.latency import (
@@ -46,8 +43,6 @@ __all__ = [
     "build_latency_model",
     "build_scenario_deployment",
     "compile_scenario",
-    "compiled_for_epoch",
-    "run_epochs",
     "run_scenario",
 ]
 
@@ -101,10 +96,9 @@ class CompiledScenario:
     loss_probability: float
     failure_plan: Optional[FailurePlan]
     attacker_ids: Tuple[int, ...]
-    epoch_duration: float
 
     def link_bandwidth(self) -> Optional[LinkBandwidth]:
-        """A fresh (queue-empty) bandwidth model for one epoch run."""
+        """A fresh (queue-empty) bandwidth model for one run."""
         rate = self.spec.topology.bandwidth_bytes_per_sec
         if rate is None:
             return None
@@ -180,7 +174,6 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
             restart_at=spec.faults.restart_at,
         )
 
-    epoch_duration = spec.duration / spec.churn.epochs
     return CompiledScenario(
         spec=spec,
         config=config,
@@ -188,35 +181,14 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         loss_probability=spec.topology.loss_probability,
         failure_plan=failure_plan,
         attacker_ids=attacker_ids,
-        epoch_duration=epoch_duration,
     )
 
 
-def compiled_for_epoch(compiled: CompiledScenario, epoch: int) -> CompiledScenario:
-    """The per-epoch view of a compiled scenario.
-
-    Epoch ``e`` runs with the config seed shifted by ``7919 * e`` so each
-    committee generation sees fresh trees/latency draws while staying
-    deterministic; everything else (latency model, failure plan, attacker
-    coalition, partition schedule) is shared across epochs.  Epoch 0 is
-    the compiled scenario itself.
-    """
-    if epoch == 0:
-        return compiled
-    return dataclass_replace(
-        compiled, config=compiled.config.with_(seed=compiled.spec.seed + 7919 * epoch)
-    )
-
-
-def build_scenario_deployment(
-    compiled: CompiledScenario,
-    epoch: int = 0,
-    runtime: str = "sim",
-):
-    """Wire one epoch's deployment: workload attached, faults scheduled.
+def build_scenario_deployment(compiled: CompiledScenario, runtime: str = "sim"):
+    """Wire the run's deployment: workload attached, faults scheduled.
 
     This is the single spec→deployment path — :func:`run_scenario` calls
-    it once per epoch, and :func:`repro.api.deploy` exposes it to callers
+    it, and :func:`repro.api.deploy` exposes it to callers
     that need the live :class:`Deployment` (custom drop rules, QC
     audits) rather than just the summarised metrics.
 
@@ -232,14 +204,14 @@ def build_scenario_deployment(
         # Imported lazily: repro.runtime.live imports this module.
         from repro.runtime.live import LiveCluster
 
-        return LiveCluster(spec=compiled.spec, compiled=compiled, epoch=epoch)
+        return LiveCluster(spec=compiled.spec, compiled=compiled)
     if runtime != "sim":
         raise ValueError(f"unknown runtime {runtime!r} (expected 'sim' or 'live')")
     spec = compiled.spec
-    config = compiled_for_epoch(compiled, epoch).config
+    config = compiled.config
     deployment = build_deployment(
         config,
-        warmup=min(spec.warmup, compiled.epoch_duration / 4),
+        warmup=min(spec.warmup, spec.duration / 4),
         latency_model=compiled.latency_model,
         loss_probability=compiled.loss_probability,
         link_bandwidth=compiled.link_bandwidth(),
@@ -268,9 +240,9 @@ def build_scenario_deployment(
         seed=workload_seed,
     )
     if spec.workload.preload:
-        workload.preload_into(deployment.mempool, compiled.epoch_duration)
+        workload.preload_into(deployment.mempool, spec.duration)
     else:
-        workload.attach(deployment.simulator, deployment.mempool, compiled.epoch_duration)
+        workload.attach(deployment.simulator, deployment.mempool, spec.duration)
 
     injector = FailureInjector(deployment.simulator, deployment.network)
     if compiled.failure_plan is not None:
@@ -281,160 +253,56 @@ def build_scenario_deployment(
     return deployment
 
 
-def _stake_gini(stakes: List[float]) -> float:
-    """Gini coefficient of the stake distribution (0 equal .. 1 skewed)."""
-    if not stakes:
-        return 0.0
-    ordered = sorted(stakes)
-    total = sum(ordered)
-    if total <= 0:
-        return 0.0
-    cumulative = 0.0
-    weighted = 0.0
-    for rank, stake in enumerate(ordered, start=1):
-        cumulative += stake
-        weighted += rank * stake
-    n = len(ordered)
-    return (2.0 * weighted) / (n * total) - (n + 1.0) / n
-
-
-#: Per-epoch execution callback: ``(compiled, epoch) -> (metrics, crashed
-#: process ids)``.  ``run_epochs`` owns everything around it (membership
-#: churn, reward feedback, stake drift); the runner owns the substrate.
-EpochRunner = Callable[[CompiledScenario, int], Tuple[ExperimentResult, Set[int]]]
-
-
-def run_epochs(
-    spec: ScenarioSpec,
-    compiled: CompiledScenario,
-    epoch_runner: EpochRunner,
-    runtime_name: str,
-) -> RunResult:
-    """The epoch-loop orchestration shared by the sim and live runtimes.
-
-    Handles committee (re-)selection from the stake pool, per-epoch
-    overlap, reward-to-stake feedback and Gini tracking identically for
-    every substrate; ``epoch_runner`` executes one epoch on the sim
-    (:func:`run_scenario`) or the live cluster
-    (:func:`repro.runtime.live.run_live`) and reports which replicas
-    ended the epoch crashed (they earn no rewards).
-    """
-    wall_started = time.perf_counter()
-    churn = spec.churn.epochs > 1 or spec.committee.pool_size > spec.committee.size
-    registry: Optional[StakeRegistry] = None
-    manager: Optional[MembershipManager] = None
-    if churn:
-        registry = StakeRegistry()
-        for validator_id, stake in enumerate(spec.committee.stakes()):
-            registry.register(validator_id, stake=stake)
-        manager = MembershipManager(
-            registry,
-            EpochSchedule(views_per_epoch=spec.churn.views_per_epoch),
-            committee_size=spec.committee.size,
-            base_seed=spec.seed,
-        )
-
-    outcome_list: List[EpochMetrics] = []
-    previous_committee: Optional[Tuple[int, ...]] = None
-    for epoch in range(spec.churn.epochs):
-        if manager is not None:
-            descriptor = manager.committee_for_epoch(epoch)
-            committee = tuple(descriptor.members)
-        else:
-            committee = tuple(range(spec.committee.size))
-
-        result, crashed = epoch_runner(compiled, epoch)
-
-        overlap = 1.0
-        if previous_committee is not None:
-            overlap = len(set(committee) & set(previous_committee)) / max(len(committee), 1)
-        previous_committee = committee
-
-        gini: Optional[float] = None
-        if registry is not None and manager is not None:
-            if spec.churn.reward_feedback and result.committed_blocks:
-                reward_total = spec.churn.reward_per_block * result.committed_blocks
-                earners = [pid for pid in range(len(committee)) if pid not in crashed]
-                if earners:
-                    payouts = {pid: reward_total / len(earners) for pid in earners}
-                    manager.apply_block_rewards(
-                        manager.schedule.first_view_of(epoch), payouts
-                    )
-            gini = _stake_gini([validator.stake for validator in registry])
-
-        outcome_list.append(
-            EpochMetrics(
-                epoch=epoch,
-                committee=committee,
-                overlap=overlap,
-                stake_gini=gini,
-                result=result,
-            )
-        )
-    return RunResult(
-        spec=spec,
-        epochs=outcome_list,
-        attackers=compiled.attacker_ids,
-        runtime=runtime_name,
-        wall_clock_seconds=time.perf_counter() - wall_started,
-    )
-
-
 def run_scenario(spec: ScenarioSpec, quick: bool = False) -> RunResult:
-    """Run a scenario end to end and collect per-epoch metrics.
+    """Run a scenario end to end on the simulator and collect its metrics.
 
     With ``quick`` the spec is first shrunk via :meth:`ScenarioSpec.quick`
     so the run finishes in seconds.  Fixed spec ⇒ identical metrics.
     """
+    wall_started = time.perf_counter()
     if quick:
         spec = spec.quick()
     compiled = compile_scenario(spec)
+    deployment = build_scenario_deployment(compiled)
+    deployment.start()
+    deployment.simulator.run(until=spec.duration)
+    result = summarise(
+        deployment, spec.duration, label=f"{spec.name} {deployment.config.describe()}"
+    )
+    tracer = deployment.metrics.tracer
+    if tracer is not None:
+        from repro.observe.metrics import MetricsRegistry
 
-    def sim_epoch(compiled_scenario: CompiledScenario, epoch: int):
-        deployment = build_scenario_deployment(compiled_scenario, epoch)
-        deployment.start()
-        deployment.simulator.run(until=compiled_scenario.epoch_duration)
-        result = summarise(
-            deployment,
-            compiled_scenario.epoch_duration,
-            label=f"{spec.name} epoch={epoch} {deployment.config.describe()}",
+        # Mirror the live node's registry namespace (consensus.* /
+        # transport.*) so merged sim and live snapshots are directly
+        # comparable; the sim's deployment-wide message counters land
+        # under transport.* like the live per-node transport dict.
+        metrics = deployment.metrics
+        registry = MetricsRegistry()
+        registry.fill_counters(deployment.network.counters(), prefix="transport.")
+        registry.counter("consensus.committed_blocks", metrics.committed_blocks())
+        registry.counter("consensus.committed_operations", metrics.committed_operations())
+        registry.counter("consensus.views_recorded", metrics.total_views())
+        registry.counter(
+            "consensus.second_chance_inclusions", metrics.second_chance_inclusions()
         )
-        tracer = deployment.metrics.tracer
-        if tracer is not None:
-            from repro.observe.metrics import MetricsRegistry
-
-            # Mirror the live node's registry namespace (consensus.* /
-            # transport.*) so merged sim and live snapshots are directly
-            # comparable; the sim's deployment-wide message counters land
-            # under transport.* like the live per-node transport dict.
-            metrics = deployment.metrics
-            registry = MetricsRegistry()
-            registry.fill_counters(deployment.network.counters(), prefix="transport.")
-            registry.counter("consensus.committed_blocks", metrics.committed_blocks())
-            registry.counter(
-                "consensus.committed_operations", metrics.committed_operations()
-            )
-            registry.counter("consensus.views_recorded", metrics.total_views())
-            registry.counter(
-                "consensus.second_chance_inclusions",
-                metrics.second_chance_inclusions(),
-            )
-            registry.gauge("consensus.average_qc_size", metrics.average_qc_size())
-            histogram = registry.histogram("consensus.commit_latency")
-            for sample in metrics.latency_samples():
-                histogram.record(sample)
-            result = dataclass_replace(
-                result,
-                observability={
-                    "run_id": tracer.run_id,
-                    "enabled": True,
-                    "trace": tracer.snapshot(),
-                    "metrics": registry.snapshot(),
-                },
-            )
-        crashed = set(deployment.network.process_ids) - {
-            replica.process_id for replica in deployment.correct_replicas()
-        }
-        return result, crashed
-
-    return run_epochs(spec, compiled, sim_epoch, runtime_name="sim")
+        registry.gauge("consensus.average_qc_size", metrics.average_qc_size())
+        histogram = registry.histogram("consensus.commit_latency")
+        for sample in metrics.latency_samples():
+            histogram.record(sample)
+        result = dataclass_replace(
+            result,
+            observability={
+                "run_id": tracer.run_id,
+                "enabled": True,
+                "trace": tracer.snapshot(),
+                "metrics": registry.snapshot(),
+            },
+        )
+    return RunResult(
+        spec=spec,
+        metrics=result,
+        attackers=compiled.attacker_ids,
+        runtime="sim",
+        wall_clock_seconds=time.perf_counter() - wall_started,
+    )

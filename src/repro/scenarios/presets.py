@@ -61,27 +61,6 @@ PRESETS: Dict[str, dict] = {
         },
         "workload": {"rate": 2000.0},
     },
-    "flash-churn": {
-        "name": "flash-churn",
-        "description": "six rapid epochs re-selected from a 48-validator pool",
-        "duration": 6.0,
-        "warmup": 0.2,
-        "committee": {"size": 13, "validators": 48, "stake_distribution": "zipf",
-                      "stake_skew": 0.8},
-        "churn": {"epochs": 6, "views_per_epoch": 20, "reward_feedback": True,
-                  "reward_per_block": 2.0},
-        "workload": {"rate": 2000.0},
-    },
-    "stake-skew": {
-        "name": "stake-skew",
-        "description": "heavily skewed stake; rewards compound across epochs",
-        "duration": 4.0,
-        "warmup": 0.2,
-        "committee": {"size": 13, "validators": 40, "stake_distribution": "zipf",
-                      "stake_skew": 1.6},
-        "churn": {"epochs": 4, "reward_feedback": True, "reward_per_block": 5.0},
-        "workload": {"rate": 2000.0},
-    },
     "omission-cartel": {
         "name": "omission-cartel",
         "description": "four corrupted aggregators censor one victim's votes",

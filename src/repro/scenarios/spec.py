@@ -1,12 +1,11 @@
 """Declarative scenario specifications.
 
 A :class:`ScenarioSpec` is one complete experiment description: committee
-composition and stake distribution, network topology and link capacity,
-churn across epochs, crash/partition schedules, a Byzantine strategy mix
-and the client workload.  Specs are plain frozen dataclasses so they can
-be built in code, round-tripped through dictionaries, or loaded from JSON
-or YAML-lite files — and then compiled into a configured simulator run by
-:mod:`repro.scenarios.engine`.
+size, network topology and link capacity, crash/partition schedules, a
+Byzantine strategy mix and the client workload.  Specs are plain frozen
+dataclasses so they can be built in code, round-tripped through
+dictionaries, or loaded from JSON or YAML-lite files — and then compiled
+into a configured simulator run by :mod:`repro.scenarios.engine`.
 
 The YAML-lite dialect (no external dependency) supports nested mappings
 by indentation, ``- `` block lists, inline ``[a, b, [c]]`` lists, comments
@@ -26,7 +25,8 @@ and the usual scalars; it covers everything a scenario file needs::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -34,7 +34,6 @@ from repro.simnet.failures import PartitionEvent
 
 __all__ = [
     "AttackSpec",
-    "ChurnSpec",
     "CommitteeSpec",
     "FaultSpec",
     "ObserveSpec",
@@ -52,52 +51,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class CommitteeSpec:
-    """Committee size and the stake pool it is drawn from.
-
-    Attributes:
-        size: Number of replicas per epoch committee.
-        validators: Size of the staking pool committees are selected from;
-            ``None`` (or == ``size``) means a fixed committee with no
-            selection step.
-        stake_distribution: ``"uniform"``, ``"zipf"`` (stake of the r-th
-            validator proportional to ``1 / r**stake_skew``) or
-            ``"linear"`` (stake proportional to rank).
-        stake_skew: Skew parameter for non-uniform distributions.
-        base_stake: Stake units held by the richest validator.
-    """
+    """The committee: ``size`` replicas with process ids ``0 .. size-1``."""
 
     size: int = 21
-    validators: Optional[int] = None
-    stake_distribution: str = "uniform"
-    stake_skew: float = 1.0
-    base_stake: float = 100.0
-
-    SUPPORTED_DISTRIBUTIONS = ("uniform", "zipf", "linear")
 
     def __post_init__(self) -> None:
         if self.size < 4:
             raise ValueError("committee needs at least four replicas")
-        if self.validators is not None and self.validators < self.size:
-            raise ValueError("validator pool cannot be smaller than the committee")
-        if self.stake_distribution not in self.SUPPORTED_DISTRIBUTIONS:
-            raise ValueError(f"unknown stake distribution {self.stake_distribution!r}")
-        if self.stake_skew < 0:
-            raise ValueError("stake skew cannot be negative")
-        if self.base_stake <= 0:
-            raise ValueError("base stake must be positive")
-
-    @property
-    def pool_size(self) -> int:
-        return self.validators if self.validators is not None else self.size
-
-    def stakes(self) -> List[float]:
-        """The initial stake of every validator in the pool, by rank."""
-        pool = self.pool_size
-        if self.stake_distribution == "zipf":
-            return [self.base_stake / (rank + 1) ** self.stake_skew for rank in range(pool)]
-        if self.stake_distribution == "linear":
-            return [self.base_stake * (pool - rank) / pool for rank in range(pool)]
-        return [self.base_stake] * pool
 
 
 @dataclass(frozen=True)
@@ -183,7 +143,7 @@ class FaultSpec:
             crash draw.  The paper's random placement lets the leader
             crash, so the figure specs switch this off.
         partitions: Timed :class:`PartitionEvent` s applied via link-level
-            suppression (each epoch run gets the same schedule).
+            suppression.
     """
 
     crashes: int = 0
@@ -244,8 +204,7 @@ class WorkloadSpec:
     ``"uniform"``, ``"bursty"``, ``"diurnal"``); ``burst_factor`` and
     ``arrival_period`` shape the time-varying models.  ``seed`` pins the
     arrival-process RNG independently of the scenario seed; ``None`` (the
-    default) derives it from the run's seed so churn epochs each see
-    fresh arrivals.
+    default) derives it from the run's seed.
 
     ``preload`` submits the whole request volume (``rate * duration``
     requests) at time zero instead of as an arrival process.  Batching
@@ -259,15 +218,12 @@ class WorkloadSpec:
 
     ``max_pending`` / ``client_window`` bound the live mempool's
     admission (queue depth / per-client in-flight fairness); 0 disables
-    a bound.  ``jitter`` is the deprecated ancestor of ``arrival``
-    (``True`` → ``"poisson"``, ``False`` → ``"uniform"``): passing it
-    explicitly warns and maps onto ``arrival``.
+    a bound.
     """
 
     rate: float = 2000.0
     payload_size: int = 64
     num_clients: int = 4
-    jitter: Optional[bool] = None
     seed: Optional[int] = None
     preload: bool = False
     arrival: str = "poisson"
@@ -277,19 +233,6 @@ class WorkloadSpec:
     client_window: int = 0
 
     def __post_init__(self) -> None:
-        if self.jitter is not None:
-            import warnings
-
-            warnings.warn(
-                "WorkloadSpec(jitter=...) is deprecated; pass "
-                "arrival='poisson' (jitter=True) or arrival='uniform' "
-                "(jitter=False) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "arrival", "poisson" if self.jitter else "uniform")
-            # Reset the sentinel so spec round-trips do not warn again.
-            object.__setattr__(self, "jitter", None)
         if self.rate < 0:
             raise ValueError("workload rate cannot be negative")
         if self.payload_size < 0:
@@ -307,37 +250,6 @@ class WorkloadSpec:
             raise ValueError("arrival period must be positive")
         if self.max_pending < 0 or self.client_window < 0:
             raise ValueError("admission bounds cannot be negative")
-
-
-@dataclass(frozen=True)
-class ChurnSpec:
-    """Committee churn across epochs.
-
-    Each epoch re-selects the committee from the stake pool (weighted by
-    current stake) and runs ``duration / epochs`` virtual seconds; block
-    rewards are optionally compounded back into the registry so selection
-    probabilities drift over time.
-
-    Attributes:
-        epochs: Number of committee generations to simulate.
-        views_per_epoch: Epoch length in views (metadata for the epoch
-            schedule; the wall split is time-based).
-        reward_feedback: Compound per-epoch block rewards into stake.
-        reward_per_block: Stake units distributed per committed block.
-    """
-
-    epochs: int = 1
-    views_per_epoch: int = 100
-    reward_feedback: bool = True
-    reward_per_block: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("need at least one epoch")
-        if self.views_per_epoch < 1:
-            raise ValueError("views per epoch must be positive")
-        if self.reward_per_block < 0:
-            raise ValueError("reward cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -483,7 +395,6 @@ class ScenarioSpec:
     faults: FaultSpec = field(default_factory=FaultSpec)
     attack: AttackSpec = field(default_factory=AttackSpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    churn: ChurnSpec = field(default_factory=ChurnSpec)
     resilience: ResilienceSpec = field(default_factory=ResilienceSpec)
     observe: ObserveSpec = field(default_factory=ObserveSpec)
 
@@ -512,18 +423,23 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a name")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.warmup < 0:
-            raise ValueError("warmup cannot be negative")
-        if self.num_internal is not None and self.num_internal < 1:
-            raise ValueError("num_internal must be positive")
         params = self.scheme_params
         if isinstance(params, Mapping):
             params = tuple(sorted(params.items()))
         else:
             params = tuple(sorted((str(key), value) for key, value in params))
         object.__setattr__(self, "scheme_params", params)
+        # Every range check below is a comparison, and comparisons with
+        # NaN are false: a NaN or infinite number must be caught first.
+        bad = _non_finite_field({**_spec_to_dict(self), "scheme_params": dict(params)})
+        if bad is not None:
+            raise ValueError(f"{bad} must be a finite number")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+        if self.warmup < 0:
+            raise ValueError("warmup cannot be negative")
+        if self.num_internal is not None and self.num_internal < 1:
+            raise ValueError("num_internal must be positive")
         from repro.consensus.config import ConsensusConfig
 
         known = {f.name for f in fields(ConsensusConfig)}
@@ -557,7 +473,6 @@ class ScenarioSpec:
             "faults": FaultSpec,
             "attack": AttackSpec,
             "workload": WorkloadSpec,
-            "churn": ChurnSpec,
             "resilience": ResilienceSpec,
             "observe": ObserveSpec,
         }
@@ -613,13 +528,6 @@ class ScenarioSpec:
         if self.attack.strategy != "none":
             size = max(size, self.attack.victim + 1, self.attack.attackers + 2)
         max_faulty = size - ((2 * size) // 3 + 1)
-        committee = replace(
-            self.committee,
-            size=size,
-            validators=None
-            if self.committee.validators is None
-            else max(size, min(self.committee.validators, 3 * size)),
-        )
         faults = replace(
             self.faults,
             crashes=min(self.faults.crashes, max_faulty),
@@ -632,10 +540,9 @@ class ScenarioSpec:
             self,
             duration=duration,
             warmup=min(self.warmup * factor, 0.2),
-            committee=committee,
+            committee=replace(self.committee, size=size),
             faults=faults,
             workload=replace(self.workload, rate=min(self.workload.rate, 2500.0)),
-            churn=replace(self.churn, epochs=min(self.churn.epochs, 2)),
         )
 
     # -- dict / file round-tripping ---------------------------------------------
@@ -661,7 +568,6 @@ class ScenarioSpec:
             "faults": _spec_to_dict(self.faults),
             "attack": _spec_to_dict(self.attack),
             "workload": _spec_to_dict(self.workload),
-            "churn": _spec_to_dict(self.churn),
             "resilience": _spec_to_dict(self.resilience),
             "observe": _spec_to_dict(self.observe),
         }
@@ -688,7 +594,6 @@ class ScenarioSpec:
                 "faults",
                 "attack",
                 "workload",
-                "churn",
                 "resilience",
                 "observe",
             )
@@ -703,8 +608,6 @@ class ScenarioSpec:
             kwargs["attack"] = _spec_from_dict(AttackSpec, data["attack"])
         if "workload" in data:
             kwargs["workload"] = _spec_from_dict(WorkloadSpec, data["workload"])
-        if "churn" in data:
-            kwargs["churn"] = _spec_from_dict(ChurnSpec, data["churn"])
         if "resilience" in data:
             kwargs["resilience"] = _spec_from_dict(ResilienceSpec, data["resilience"])
         if "observe" in data:
@@ -734,6 +637,26 @@ class ScenarioSpec:
 
 def _spec_to_dict(spec: Any) -> Dict[str, Any]:
     return {f.name: getattr(spec, f.name) for f in fields(spec)}
+
+
+def _non_finite_field(value: Any, path: str = "") -> Optional[str]:
+    """The dotted path of the first NaN or infinite float inside ``value``
+    (nested specs, mappings, tuples and lists), or ``None``."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if is_dataclass(value):
+        children = [(f.name, getattr(value, f.name)) for f in fields(value)]
+    elif isinstance(value, Mapping):
+        children = list(value.items())
+    elif isinstance(value, (tuple, list)):
+        children = list(enumerate(value))
+    else:
+        return None
+    for key, child in children:
+        found = _non_finite_field(child, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
 
 
 def _spec_from_dict(cls: type, data: Mapping[str, Any]) -> Any:

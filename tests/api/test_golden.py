@@ -47,7 +47,7 @@ GOLDEN_FIG4 = [
 
 # Captured with: run_scenario(load_preset("partition-heal"), quick=True).rows().
 GOLDEN_PARTITION_HEAL = [
-    {"scenario": "partition-heal", "epoch": 0, "committee_overlap_pct": 100.0,
+    {"scenario": "partition-heal",
      "throughput_ops": 556.1, "latency_ms": 10.18, "latency_p90_ms": 9.73,
      "failed_views_pct": 1.18, "avg_qc_size": 8.95, "second_chance_votes": 4,
      "committed_blocks": 124, "messages_dropped": 32, "messages_blocked": 32},

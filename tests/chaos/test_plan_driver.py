@@ -221,7 +221,7 @@ def test_plan_compiles_for_every_builtin_preset():
     from repro.scenarios.presets import preset_names
 
     spec_names = preset_names()
-    assert len(spec_names) == 11
+    assert len(spec_names) == 9
     for name in spec_names:
         spec = load_preset(name)
         plan = compile_chaos_plan(compile_scenario(spec))

@@ -99,11 +99,9 @@ class TestWorkloadSpecPlumbing:
         with pytest.raises(ValueError, match="arrival"):
             WorkloadSpec(rate=100.0, arrival="fractal")
 
-    def test_jitter_alias_maps_to_arrival(self):
-        with pytest.warns(DeprecationWarning, match="jitter"):
-            spec = WorkloadSpec(rate=100.0, jitter=False)
-        assert spec.arrival == "uniform"
-        assert spec.jitter is None
+    def test_uniform_arrival_round_trips(self):
+        spec = ScenarioSpec(name="uniform", workload=WorkloadSpec(rate=100.0, arrival="uniform"))
+        assert ScenarioSpec.from_dict(spec.to_dict()).workload.arrival == "uniform"
 
 
 def _open_loop_spec(**workload_overrides) -> ScenarioSpec:

@@ -118,7 +118,7 @@ def test_sim_and_live_emit_the_same_logical_event_sequence():
     compiled = compile_scenario(spec)
     deployment = build_scenario_deployment(compiled)
     deployment.start()
-    deployment.simulator.run(until=compiled.epoch_duration)
+    deployment.simulator.run(until=compiled.spec.duration)
     sim_events = deployment.metrics.tracer.events()
     sim_order = list(deployment.mempool.committed_order)
 

@@ -68,7 +68,7 @@ def _sim_committed_order(spec: ScenarioSpec) -> list:
     compiled = compile_scenario(spec)
     deployment = build_scenario_deployment(compiled)
     deployment.start()
-    deployment.simulator.run(until=compiled.epoch_duration)
+    deployment.simulator.run(until=compiled.spec.duration)
     return list(deployment.mempool.committed_order)
 
 

@@ -141,7 +141,7 @@ def test_api_run_rejects_unknown_runtime():
 
 def test_capability_validation_accepts_every_preset_in_task_mode():
     # Since the chaos layer landed, every built-in preset — partitions,
-    # loss, WAN shaping, omission cartels, churn — validates for the live
+    # loss, WAN shaping, omission cartels, crash/restart — validates for the live
     # runtime in task mode.
     for name in preset_names():
         validate_live_spec(load_preset(name))
@@ -155,8 +155,6 @@ def test_capability_validation_rejects_fault_driver_under_procs():
         validate_live_spec(load_preset("partition-heal"), procs=2)
     with pytest.raises(ValueError, match="attack.strategy"):
         validate_live_spec(load_preset("omission-cartel"), procs=2)
-    with pytest.raises(ValueError, match="churn.epochs"):
-        validate_live_spec(load_preset("flash-churn"), procs=2)
     with pytest.raises(ValueError, match="faults.restart_at"):
         validate_live_spec(
             load_preset("crash-storm").with_(faults={"restart_at": 3.0}), procs=2
@@ -203,4 +201,4 @@ def test_cli_live_verb(capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["schema"] == RESULT_SCHEMA
     assert document["runtime"] == "live"
-    assert document["epochs"][0]["metrics"]["committed_blocks"] >= 1
+    assert document["metrics"]["committed_blocks"] >= 1

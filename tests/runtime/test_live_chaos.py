@@ -2,7 +2,7 @@
 
 Real localhost TCP clusters under adversity: partition-with-heal,
 crash-restart churn, an omission cartel whose victim is re-added through
-the 2ND-CHANCE fallback, probabilistic loss, and multi-epoch churn.
+the 2ND-CHANCE fallback, and probabilistic loss.
 Committees are small and runs stop at block targets, so each test is a
 couple of seconds of wall clock.
 """
@@ -100,31 +100,6 @@ def test_lossy_links_live():
     result = run_live(spec, duration=2.0, target_blocks=25)
     assert result.metrics.committed_blocks >= 10  # survives 5% loss
     assert result.metrics.message_counters["messages_dropped"] > 0
-
-
-@pytest.mark.slow
-def test_multi_epoch_churn_live():
-    spec = load_preset("flash-churn").quick()
-    result = run_live(spec, target_blocks=8)
-    assert result.runtime == "live"
-    assert len(result.epochs) == spec.churn.epochs > 1
-    # Committees were re-selected from the stake pool with feedback.
-    assert result.epochs[1].overlap < 1.0 or result.epochs[1].stake_gini is not None
-    committees = {tuple(outcome.committee) for outcome in result.epochs}
-    assert all(len(c) == spec.committee.size for c in committees)
-    assert all(outcome.result.committed_blocks > 0 for outcome in result.epochs)
-
-
-@pytest.mark.slow
-def test_deploy_then_run_multi_epoch_spec_runs_all_epochs():
-    # A deploy-then-run of a churn spec must orchestrate every epoch,
-    # exactly like api.run(runtime="live") — never silently serve only
-    # epoch 0 (regression: the old blanket validator rejected this loudly).
-    from repro import api
-
-    cluster = api.deploy("flash-churn", quick=True, runtime="live")
-    result = cluster.run()
-    assert len(result.epochs) == cluster.spec.churn.epochs > 1
 
 
 @pytest.mark.slow

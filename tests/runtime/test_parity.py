@@ -38,7 +38,7 @@ def _sim_run(spec):
     compiled = compile_scenario(spec)
     deployment = build_scenario_deployment(compiled)
     deployment.start()
-    deployment.simulator.run(until=compiled.epoch_duration)
+    deployment.simulator.run(until=compiled.spec.duration)
     return compiled, deployment
 
 
@@ -84,7 +84,7 @@ def test_partition_heal_parity():
     sim_order = list(deployment.mempool.committed_order)
     sim_blocked = deployment.network.counters()["messages_blocked"]
 
-    cluster = LiveCluster(spec=spec, duration=compiled.epoch_duration + 0.4)
+    cluster = LiveCluster(spec=spec, duration=compiled.spec.duration + 0.4)
     result = cluster.run()
     live_order = cluster.committed_order(0)
     live_blocked = result.metrics.message_counters["messages_blocked"]

@@ -77,23 +77,23 @@ class TestScenarioRuns:
     def test_preset_runs_quick(self, name):
         result = run_scenario(load_preset(name), quick=True)
         rows = result.rows()
-        assert len(rows) == result.spec.churn.epochs
+        assert len(rows) == 1
         summary = result.summary()
         assert summary["committed_blocks"] > 0
         artifact = result.artifact()
         assert artifact.rows == rows
         assert name in artifact.title
 
-    @pytest.mark.parametrize("name", ["partition-heal", "flash-churn", "omission-cartel"])
+    @pytest.mark.parametrize("name", ["partition-heal", "crash-restart", "omission-cartel"])
     def test_fixed_seed_is_deterministic(self, name):
         first = run_scenario(load_preset(name), quick=True)
         second = run_scenario(load_preset(name), quick=True)
         assert first.rows() == second.rows()
         # and the finalized-view metrics specifically:
-        for a, b in zip(first.epochs, second.epochs):
-            assert a.result.total_views == b.result.total_views
-            assert a.result.successful_views == b.result.successful_views
-            assert a.result.committed_blocks == b.result.committed_blocks
+        a, b = first.metrics, second.metrics
+        assert a.total_views == b.total_views
+        assert a.successful_views == b.successful_views
+        assert a.committed_blocks == b.committed_blocks
 
     def test_seed_changes_the_run(self):
         base = load_preset("partition-heal")
@@ -109,18 +109,6 @@ class TestScenarioRuns:
         # ...and the scenario still made progress (quorum side + heal).
         assert summary["committed_blocks"] > 0
         assert summary["failed_views_pct"] < 50.0
-
-    def test_churn_preset_rotates_committees(self):
-        result = run_scenario(load_preset("flash-churn"), quick=True)
-        assert len(result.epochs) == 2
-        committees = [outcome.committee for outcome in result.epochs]
-        assert committees[0] != committees[1]
-        assert result.epochs[1].overlap < 1.0
-        assert all(outcome.stake_gini is not None for outcome in result.epochs)
-
-    def test_stake_skew_starts_unequal(self):
-        result = run_scenario(load_preset("stake-skew"), quick=True)
-        assert result.epochs[0].stake_gini > 0.3
 
     def test_omission_cartel_triggers_second_chances(self):
         result = run_scenario(load_preset("omission-cartel"), quick=True)

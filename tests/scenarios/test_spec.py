@@ -1,10 +1,12 @@
 """Tests for scenario specs: validation, round-tripping and YAML-lite."""
 
+import re
+
 import pytest
 
+from repro import api
 from repro.scenarios.spec import (
     AttackSpec,
-    ChurnSpec,
     CommitteeSpec,
     FaultSpec,
     ResilienceSpec,
@@ -20,21 +22,6 @@ class TestComponentValidation:
     def test_committee(self):
         with pytest.raises(ValueError):
             CommitteeSpec(size=3)
-        with pytest.raises(ValueError):
-            CommitteeSpec(size=10, validators=5)
-        with pytest.raises(ValueError):
-            CommitteeSpec(stake_distribution="bimodal")
-
-    def test_committee_stakes(self):
-        uniform = CommitteeSpec(size=4, validators=8).stakes()
-        assert uniform == [100.0] * 8
-        zipf = CommitteeSpec(size=4, validators=8, stake_distribution="zipf",
-                             stake_skew=1.0).stakes()
-        assert zipf[0] == pytest.approx(100.0)
-        assert zipf[1] == pytest.approx(50.0)
-        assert sorted(zipf, reverse=True) == zipf
-        linear = CommitteeSpec(size=4, validators=4, stake_distribution="linear").stakes()
-        assert sorted(linear, reverse=True) == linear
 
     def test_topology(self):
         with pytest.raises(ValueError):
@@ -62,11 +49,9 @@ class TestComponentValidation:
         with pytest.raises(ValueError):
             AttackSpec(strategy="omission", attackers=0)
 
-    def test_workload_and_churn(self):
+    def test_workload(self):
         with pytest.raises(ValueError):
             WorkloadSpec(rate=-1)
-        with pytest.raises(ValueError):
-            ChurnSpec(epochs=0)
 
     def test_resilience(self):
         with pytest.raises(ValueError):
@@ -107,7 +92,7 @@ class TestRoundTrips:
             name="round-trip",
             description="demo",
             duration=2.0,
-            committee=CommitteeSpec(size=9, validators=20, stake_distribution="zipf"),
+            committee=CommitteeSpec(size=9),
             topology=TopologySpec(kind="wan", regions=3,
                                   bandwidth_bytes_per_sec=1_000_000.0),
             faults=FaultSpec(
@@ -117,7 +102,6 @@ class TestRoundTrips:
                                            heal_at=1.5),),
             ),
             attack=AttackSpec(strategy="omission", attackers=2, victim=3),
-            churn=ChurnSpec(epochs=2),
             resilience=ResilienceSpec(
                 heartbeat_interval=0.02,
                 phi_threshold=5.0,
@@ -146,13 +130,22 @@ class TestRoundTrips:
             )
 
     @pytest.mark.parametrize(
-        "removed", ["batch_verification", "verification_offload", "wait_for_all_votes"]
+        "removed", ["batch_verification", "verification_offload", "wait_for_all_votes", "churn"]
     )
     def test_removed_knobs_rejected_by_name(self, removed):
         with pytest.raises(ValueError, match=f"unknown scenario keys.*{removed}"):
             ScenarioSpec.from_dict({"name": "x", removed: True})
         with pytest.raises(ValueError, match=f"unknown scheme param '{removed}'"):
             ScenarioSpec(name="x", scheme_params={removed: True})
+
+    @pytest.mark.parametrize(
+        "section, removed",
+        [("committee", "validators"), ("committee", "stake_distribution"),
+         ("workload", "jitter")],
+    )
+    def test_removed_component_fields_rejected_by_name(self, section, removed):
+        with pytest.raises(ValueError, match=f"unknown .*{removed}"):
+            ScenarioSpec.from_dict({"name": "x", section: {removed: True}})
 
     def test_file_round_trip(self, tmp_path):
         spec = self.make_spec()
@@ -303,59 +296,59 @@ class TestYamlLite:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
 
-class TestJitterDeprecationAlias:
-    """The PR-8 ``workload.jitter`` → ``arrival`` migration contract."""
+def _spec_document(path: str, value: float) -> dict:
+    """A small valid spec document with ``value`` placed at dotted ``path``."""
+    document = ScenarioSpec(
+        name="finite", duration=1.0, committee=CommitteeSpec(size=4)
+    ).to_dict()
+    matrix = [[0.0 if i == j else 0.001 for j in range(4)] for i in range(4)]
+    if path == "topology.matrix.1.2":
+        matrix[1][2] = value
+        document["topology"].update(kind="matrix", matrix=matrix)
+    elif path.startswith("faults.partitions.0."):
+        event = {"at": 0.2, "heal_at": 0.6, "groups": [[0, 1, 2], [3]]}
+        if path.endswith(".at"):
+            del event["heal_at"]
+        event[path.rsplit(".", 1)[1]] = value
+        document["faults"]["partitions"] = [event]
+    else:
+        *sections, key = path.split(".")
+        target = document
+        for section in sections:
+            target = target[section]
+        target[key] = value
+    return document
 
-    def test_true_maps_to_poisson_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="jitter.*deprecated"):
-            spec = WorkloadSpec(rate=100.0, jitter=True)
-        assert spec.arrival == "poisson"
-        assert spec.jitter is None  # sentinel reset after mapping
 
-    def test_false_maps_to_uniform_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="jitter.*deprecated"):
-            spec = WorkloadSpec(rate=100.0, jitter=False)
-        assert spec.arrival == "uniform"
-        assert spec.jitter is None
+class TestNonFiniteNumbers:
+    """Range checks are comparisons, which NaN passes: a non-finite number
+    anywhere in a spec is refused up front, naming its dotted field."""
 
-    def test_default_construction_does_not_warn(self):
-        import warnings
+    FIELDS = [
+        "duration",
+        "warmup",
+        "delta",
+        "view_timeout",
+        "workload.rate",
+        "topology.intra_delay",
+        "topology.matrix.1.2",
+        "faults.crash_at",
+        "faults.partitions.0.at",
+        "faults.partitions.0.heal_at",
+    ]
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            spec = WorkloadSpec(rate=100.0, arrival="uniform")
-        assert spec.jitter is None
+    def test_finite_document_is_accepted(self):
+        ScenarioSpec.from_dict(_spec_document("duration", 1.0))
 
-    def test_alias_is_behavior_identical(self):
-        # The mapped spec is indistinguishable from the modern spelling —
-        # same field values, same serialised form, so every downstream
-        # consumer (arrival process, preload, swarm) behaves identically.
-        with pytest.warns(DeprecationWarning):
-            legacy = WorkloadSpec(rate=250.0, jitter=True, seed=9)
-        modern = WorkloadSpec(rate=250.0, arrival="poisson", seed=9)
-        assert legacy == modern
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("path", FIELDS)
+    def test_non_finite_field_rejected(self, path, value):
+        document = _spec_document(path, value)
+        with pytest.raises(ValueError, match=re.escape(f"{path} must be a finite number")):
+            ScenarioSpec.from_dict(document)
 
-    def test_round_trip_does_not_warn_again(self):
-        import warnings
-
-        with pytest.warns(DeprecationWarning):
-            spec = ScenarioSpec(
-                name="legacy", workload=WorkloadSpec(rate=100.0, jitter=False)
-            )
-        document = spec.to_dict()
-        # The serialised workload carries the mapped arrival model and a
-        # dead (None) jitter sentinel, so reloading stays silent.
-        assert document["workload"]["arrival"] == "uniform"
-        assert document["workload"].get("jitter") is None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            clone = ScenarioSpec.from_dict(document)
-        assert clone == spec
-
-    def test_legacy_document_with_live_jitter_warns_once(self):
-        spec = ScenarioSpec(name="modern")
-        document = spec.to_dict()
-        document["workload"]["jitter"] = True  # a pre-PR-8 spec file
-        with pytest.warns(DeprecationWarning, match="jitter"):
-            loaded = ScenarioSpec.from_dict(document)
-        assert loaded.workload.arrival == "poisson"
+    def test_nan_in_a_json_spec_file_is_rejected_by_run(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"name": "nan-file", "duration": NaN, "committee": {"size": 4}}')
+        with pytest.raises(ValueError, match="duration must be a finite number"):
+            api.run(str(path))
