@@ -13,6 +13,27 @@ The multiplicity encoding of Iniva's reward scheme is already applied here
 (each aggregated child is included twice, plus one extra copy of the
 parent's own signature per child) so that the reward layer can be used
 with either variant.
+
+Collection points check the fold, not each vote.  BLS aggregation on one
+message is point addition, so one pairing equation decides a whole sum
+(Handel's "verify the aggregate, not each signature"):
+
+* an internal node stores a child's share once its signer is the sender
+  and its value is well formed (``scheme.well_formed``, no pairing), and
+  at send-up verifies the exact aggregate it is about to send; only if
+  that fails does it check each child, drop the bad ones and refold.  The
+  aggregate that goes up is the one checked, so with one scheme per
+  process the root's own check of it is a memo hit;
+* the root counts bare shares on arrival the same way and checks them
+  as one batch when their validity first matters: before an arriving
+  contribution is skipped as overlapping one of them, and before the QC
+  is folded.  A failed batch falls back to one check per share and
+  drops the bad ones.  Aggregates are still checked on arrival — an
+  unchecked one could shadow the honest signers it overlaps.
+
+No node waits longer than it would for its own checks: nothing is
+penned, and the simulator still charges one ``verify_share`` of CPU
+per arriving share where it arrives.
 """
 
 from __future__ import annotations
@@ -26,7 +47,14 @@ from repro.consensus.block import Block
 from repro.crypto.multisig import AggregateSignature, SignatureShare
 from repro.tree.overlay import AggregationTree
 
-__all__ = ["TreeAggregator"]
+__all__ = ["TreeAggregator", "signers_of"]
+
+
+def signers_of(contribution: Any) -> frozenset:
+    """The signers a share or an aggregate covers."""
+    if isinstance(contribution, AggregateSignature):
+        return contribution.signers
+    return frozenset({contribution.signer})
 
 
 @dataclass(slots=True)
@@ -42,17 +70,22 @@ class TreeRound(Round):
     tree: Optional[AggregationTree] = None
     #: This replica's vote; set once the proposal has been handled.
     own_share: Optional[SignatureShare] = None
-    # Internal node: the children's verified shares, and whether they went up.
+    # Internal node: the children's well-formed shares (checked as one
+    # fold at send-up), and whether they went up.
     children_shares: Dict[int, SignatureShare] = field(default_factory=dict)
     sent_up: bool = False
-    # Root: the contributions for the QC and the signers they cover.
+    # Root: the contributions for the QC, the signers they cover, and the
+    # bare shares among them not checked yet, by signer.  Only a root
+    # fills the last two, so they are made on first use.
     contributions: List[Tuple[Any, int]] = field(default_factory=list)
     included: Set[int] = field(default_factory=set)
-    # Iniva: the parent's ACK (a leaf's proof of inclusion) and the root's
-    # 2ND-CHANCE progress.
+    unchecked: Optional[Dict[int, SignatureShare]] = None
+    # Iniva: the parent's ACK (a leaf's proof of inclusion), the root's
+    # 2ND-CHANCE progress, and the signers a bare 2ND-CHANCE reply added.
     parent_ack: Optional[AggregateSignature] = None
     second_chance_sent: bool = False
     second_chance_expired: bool = False
+    second_chance_shares: Optional[Set[int]] = None
 
 
 @register_aggregator
@@ -86,7 +119,7 @@ class TreeAggregator(Aggregator):
         tree = state.tree
         pid = self.process_id
         if tree.is_root(pid):
-            self._root_add_contribution(block, share, weight=1, source=pid)
+            self._root_add_contribution(block, share, source=pid)
             self.replica.set_timer(
                 self.config.aggregation_timer(height=2), self._root_timeout, block
             )
@@ -131,7 +164,7 @@ class TreeAggregator(Aggregator):
             "share_recv", block.view, block=block.block_id[:12], src=sender, role="internal"
         )
         self.replica.consume_cpu(self.config.cpu_model.verify_share)
-        if not self.committee.verify_share(signature, block.signing_payload()):
+        if not self.scheme.well_formed(signature):
             return
         state.children_shares[sender] = signature
         self._internal_check_complete(block)
@@ -151,17 +184,33 @@ class TreeAggregator(Aggregator):
             return
         state.sent_up = True
         children_shares = dict(state.children_shares)
-        # Iniva's multiplicity encoding: each aggregated child twice, plus one
-        # extra copy of the parent's own signature per aggregated child.
-        contributions = [(state.own_share, 1 + len(children_shares))]
-        contributions.extend((share, 2) for share in children_shares.values())
         self.replica.consume_cpu(
             self.config.cpu_model.aggregate_per_share * (len(children_shares) + 1)
         )
-        aggregate = self.scheme.aggregate(contributions)
+        aggregate = self._internal_fold(state.own_share, children_shares)
+        payload = block.signing_payload()
+        if children_shares and not self.committee.verify_aggregate(aggregate, payload):
+            # Some child's share is bad: find it, and send up the rest.
+            children_shares = {
+                child: share
+                for child, share in children_shares.items()
+                if self.committee.verify_share(share, payload)
+            }
+            aggregate = self._internal_fold(state.own_share, children_shares)
+            # Every part was just checked, so by linearity the fold verifies.
+            self.committee.trust_aggregate(aggregate, payload)
         vote = SignatureMessage(block_id=block.block_id, view=block.view, signature=aggregate)
         self.replica.send(state.tree.root, vote, size_bytes=vote.size_bytes)
         self._after_internal_send(block, aggregate, sorted(children_shares))
+
+    def _internal_fold(
+        self, own_share: SignatureShare, children_shares: Dict[int, SignatureShare]
+    ) -> AggregateSignature:
+        """Iniva's multiplicity encoding: each aggregated child twice, plus
+        one extra copy of the parent's own signature per aggregated child."""
+        contributions = [(own_share, 1 + len(children_shares))]
+        contributions.extend((share, 2) for share in children_shares.values())
+        return self.scheme.aggregate(contributions)
 
     def _after_internal_send(
         self, block: Block, aggregate: AggregateSignature, aggregated_children: list
@@ -190,30 +239,41 @@ class TreeAggregator(Aggregator):
             )
             if not self.committee.verify_aggregate(signature, block.signing_payload()):
                 return
-            self._root_add_contribution(block, signature, weight=1, source=sender)
+            self._root_add_contribution(block, signature, source=sender)
         elif isinstance(signature, SignatureShare):
             if signature.signer != sender or sender not in tree.children(tree.root):
                 return
             self.replica.consume_cpu(self.config.cpu_model.verify_share)
-            if not self.committee.verify_share(signature, block.signing_payload()):
+            if not self.scheme.well_formed(signature):
                 return
-            self._root_add_contribution(block, signature, weight=1, source=sender)
+            self._root_add_contribution(block, signature, source=sender)
 
-    def _root_add_contribution(self, block: Block, contribution: Any, weight: int, source: int) -> None:
+    def _root_add_contribution(self, block: Block, contribution: Any, source: int) -> int:
+        """Count ``contribution`` towards the QC; returns how many signers it
+        added that still count.
+
+        Aggregates arrive checked.  A bare share from another process is
+        counted unchecked, and checked with the others in
+        :meth:`_root_check_shares`.
+        """
         state = self._tree_round(block)
         if state.done:
-            return
-        signers = (
-            contribution.signers
-            if isinstance(contribution, AggregateSignature)
-            else frozenset({contribution.signer})
-        )
+            return 0
+        signers = signers_of(contribution)
+        if state.unchecked and not signers.isdisjoint(state.unchecked):
+            # Whether this overlaps a vote that counts depends on that
+            # vote being valid, so settle it before deciding.
+            self._root_check_shares(block)
         if signers & state.included:
             # Indivisible aggregates cannot be decomposed, so overlapping
             # contributions are skipped rather than double-counted.
-            return
-        state.contributions.append((contribution, weight))
+            return 0
+        state.contributions.append((contribution, 1))
         state.included |= signers
+        if isinstance(contribution, SignatureShare) and contribution.signer != self.process_id:
+            if state.unchecked is None:
+                state.unchecked = {}
+            state.unchecked[contribution.signer] = contribution
         self._trace_hot(
             "share_verified",
             block.view,
@@ -223,6 +283,34 @@ class TreeAggregator(Aggregator):
             included=len(state.included),
         )
         self._root_check_progress(block)
+        # Progress may have run the batch check and dropped this very share.
+        return len(signers & state.included)
+
+    def _root_check_shares(self, block: Block) -> Set[int]:
+        """Check the bare shares counted unchecked; drop and return the bad.
+
+        One pairing equation over their sum when they are all valid; one
+        per share only when that fails.
+        """
+        state = self._tree_round(block)
+        if not state.unchecked:
+            return set()
+        shares = list(state.unchecked.values())
+        state.unchecked = None
+        payload = block.signing_payload()
+        if self.committee.verify_aggregate(self.scheme.aggregate(shares), payload):
+            return set()
+        bad = {
+            share.signer for share in shares if not self.committee.verify_share(share, payload)
+        }
+        if bad:
+            state.contributions = [
+                (part, weight)
+                for part, weight in state.contributions
+                if not (isinstance(part, SignatureShare) and part.signer in bad)
+            ]
+            state.included -= bad
+        return bad
 
     def _root_check_progress(self, block: Block) -> None:
         state = self._tree_round(block)
@@ -250,6 +338,9 @@ class TreeAggregator(Aggregator):
     def _root_finalise(self, block: Block) -> None:
         state = self._tree_round(block)
         if state.done or len(state.included) < self.config.quorum_size:
+            return
+        self._root_check_shares(block)
+        if len(state.included) < self.config.quorum_size:
             return
         contributions = state.contributions
         self.replica.consume_cpu(self.config.cpu_model.aggregate_per_share * len(contributions))

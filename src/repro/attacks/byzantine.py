@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.aggregation.messages import SecondChanceReply
+from repro.aggregation.tree_agg import signers_of
 from repro.consensus.block import Block
 from repro.core.iniva import InivaAggregator
-from repro.crypto.multisig import AggregateSignature
 
 __all__ = ["OmittingInivaAggregator", "corrupt_replica", "corrupt_replicas"]
 
@@ -79,18 +79,12 @@ class OmittingInivaAggregator(InivaAggregator):
             self.config.second_chance_timeout, self._second_chance_timeout, block
         )
 
-    def _root_add_contribution(self, block: Block, contribution, weight: int, source: int) -> None:
-        if self._tree_round(block).tree.is_root(self.process_id):
-            signers = (
-                contribution.signers
-                if isinstance(contribution, AggregateSignature)
-                else frozenset({contribution.signer})
-            )
-            # Drop contributions whose only effect would be adding the victim
-            # (its individual share or a fallback reply centred on it).
-            if signers == frozenset({self.victim}):
-                return
-        super()._root_add_contribution(block, contribution, weight, source)
+    def _root_add_contribution(self, block: Block, contribution, source: int) -> int:
+        # Drop contributions whose only effect would be adding the victim
+        # (its individual share or a fallback reply centred on it).
+        if signers_of(contribution) == {self.victim}:
+            return 0
+        return super()._root_add_contribution(block, contribution, source)
 
     def _on_second_chance_reply(self, sender: int, message: SecondChanceReply) -> None:
         if sender == self.victim:

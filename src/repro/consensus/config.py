@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.crypto.keys import bft_quorum
 from repro.simnet.process import CpuCostModel
 
 __all__ = ["ConsensusConfig"]
@@ -34,7 +35,6 @@ class ConsensusConfig:
             QC after sending 2ND-CHANCE messages (5 ms / 10 ms in Fig. 4).
         view_timeout: Pacemaker timeout after which a view is abandoned.
         leader_policy: ``"round-robin"`` or ``"carousel"``.
-        fault_fraction: The ``f`` used in the quorum rule ``(1 - f) n``.
         signature_scheme: ``"hashsig"`` (additive fast simulation, the
             default for sweeps), ``"hash"`` (dictionary-carrying fast
             simulation) or ``"bls"`` (real pairings, the correctness
@@ -53,7 +53,6 @@ class ConsensusConfig:
     second_chance_timeout: float = 0.005
     view_timeout: float = 0.25
     leader_policy: str = "round-robin"
-    fault_fraction: float = 1 / 3
     signature_scheme: str = "hashsig"
     seed: int = 1
     cpu_model: CpuCostModel = field(default_factory=CpuCostModel)
@@ -120,7 +119,7 @@ class ConsensusConfig:
     @property
     def quorum_size(self) -> int:
         """Distinct signers required for a valid QC: ``floor(2n/3) + 1``."""
-        return (2 * self.committee_size) // 3 + 1
+        return bft_quorum(self.committee_size)
 
     @property
     def max_faulty(self) -> int:

@@ -18,11 +18,17 @@ Together with the indivisibility of the multi-signature scheme this
 reduces the probability of a targeted 0-collateral vote omission from
 ``m`` to ``m²`` (Theorem 4) while guaranteeing Inclusiveness within
 ``7Δ`` (Theorem 2).
+
+The root folds 2ND-CHANCE replies the way it folds tree votes
+(:mod:`repro.aggregation.tree_agg`): a reply carrying an aggregate is
+verified on arrival, a bare share is counted once it is well formed and
+checked with the root's other unchecked shares as one batch before the
+QC is folded.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Union
+from typing import Any, List, Set, Union
 
 from repro.aggregation.base import register_aggregator
 from repro.aggregation.messages import (
@@ -139,6 +145,14 @@ class InivaAggregator(TreeAggregator):
             return
         self._root_finalise(block)
 
+    def _root_check_shares(self, block: Block) -> Set[int]:
+        bad = super()._root_check_shares(block)
+        # A forged bare reply was counted as recovered on arrival; it was not.
+        forged_replies = bad & (self._tree_round(block).second_chance_shares or set())
+        if forged_replies:
+            self.replica.metrics.record_second_chance_inclusion(-len(forged_replies))
+        return bad
+
     # -- recipient of a 2ND-CHANCE ------------------------------------------------------
     def _on_second_chance(self, sender: int, message: SecondChanceMessage) -> None:
         block = message.block
@@ -201,7 +215,7 @@ class InivaAggregator(TreeAggregator):
             if signature.signer != sender:
                 return
             self.replica.consume_cpu(self.config.cpu_model.verify_share)
-            if not self.committee.verify_share(signature, block.signing_payload()):
+            if not self.scheme.well_formed(signature):
                 return
         elif isinstance(signature, AggregateSignature):
             self.replica.consume_cpu(
@@ -211,10 +225,12 @@ class InivaAggregator(TreeAggregator):
                 return
         else:
             return
-        included_before = len(state.included)
-        self._root_add_contribution(block, signature, weight=1, source=sender)
-        added = len(state.included) - included_before
+        added = self._root_add_contribution(block, signature, source=sender)
         if added > 0:
+            if isinstance(signature, SignatureShare):
+                if state.second_chance_shares is None:
+                    state.second_chance_shares = set()
+                state.second_chance_shares.add(sender)
             self.replica.metrics.record_second_chance_inclusion(added)
             self._trace(
                 "second_chance",

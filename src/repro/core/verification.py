@@ -94,7 +94,8 @@ def verify_quorum_certificate(
         tree: The deterministic aggregation tree of the QC's view.
         committee: The committee registry holding every public key.
         quorum_size: Minimum number of distinct signers; defaults to the
-            committee's ``(1 - f) n`` quorum.
+            committee's ``floor(2n/3) + 1`` quorum, the one the protocol's
+            roots finalise at.
         verify_signature: Skip the (comparatively expensive) aggregate
             verification when False — used by analyses that only care
             about the structural checks.
@@ -199,11 +200,9 @@ class BlockAuditor:
         self,
         committee: Committee,
         params: Optional[RewardParams] = None,
-        fault_fraction: float = 1 / 3,
     ) -> None:
         self.committee = committee
         self.params = params or RewardParams()
-        self.fault_fraction = fault_fraction
 
     def verify_certificate(
         self, qc: QuorumCertificate, tree: AggregationTree, verify_signature: bool = True
@@ -212,7 +211,7 @@ class BlockAuditor:
             qc,
             tree,
             self.committee,
-            quorum_size=self.committee.quorum_size(self.fault_fraction),
+            quorum_size=self.committee.quorum_size(),
             verify_signature=verify_signature,
         )
 

@@ -27,10 +27,15 @@ verification — a share or an aggregate — is one
 :func:`repro.crypto.pairing.tate_check` equation (one Miller loop over the
 cached vertical-free ladders of ``G`` and ``H(m)``, one final
 exponentiation), and no lone pairing value is ever computed or memoised;
+the collection points (:mod:`repro.aggregation.tree_agg`) verify the sum
+they fold rather than each arriving share, so a fault-free Iniva block
+costs about one equation per internal node plus one at the root, and
+:meth:`BlsMultiSig.verify_share` runs only when such a fold fails;
 verified *aggregates* are memoised per scheme instance, so a replica
-re-checking the QC another replica already checked pays a dict lookup;
-and weighted sums of shares and of public keys run on one Jacobian
-accumulator (:func:`repro.crypto.curve.weighted_sum`).
+re-checking the QC another replica already checked — or the root
+checking the aggregate its internal node checked before sending it —
+pays a dict lookup; and weighted sums of shares and of public keys run
+on one Jacobian accumulator (:func:`repro.crypto.curve.weighted_sum`).
 """
 
 from __future__ import annotations
@@ -102,10 +107,12 @@ class BlsMultiSig(MultiSignatureScheme):
         point = comb_mult(self._hash_message(message), secret_key)
         return SignatureShare(signer=signer, value=point)
 
+    def well_formed(self, share: SignatureShare) -> bool:
+        value = share.value
+        return isinstance(value, Point) and not value.is_infinity and value.is_on_curve()
+
     def verify_share(self, share: SignatureShare, message: bytes, public_key: Point) -> bool:
-        if not isinstance(share.value, Point) or share.value.is_infinity:
-            return False
-        if not share.value.is_on_curve():
+        if not self.well_formed(share):
             return False
         # Generator and H(m) first: their Miller ladders are cached (the
         # generator's forever, the message hash's within the block).

@@ -14,9 +14,7 @@ degenerates to ~``r_bits/4`` mixed additions with no doublings at all,
 and a message hash that every replica signs gets a memoised 4-tooth comb
 (:func:`comb_mult`): ~``r_bits/4`` doublings and as many additions.
 Multiplicity-weighted sums of shares and keys (:func:`weighted_sum`) use
-the same core without tables.  The schoolbook affine double-and-add survives as
-:func:`reference_scalar_mult` and remains the semantic reference the
-property tests compare against bit-for-bit.
+the same core without tables.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "distortion_map",
     "comb_mult",
     "weighted_sum",
-    "reference_scalar_mult",
     "clear_hash_cache",
 ]
 
@@ -483,7 +480,7 @@ def weighted_sum(pairs: Iterable[Tuple["Point", int]], params: CurveParams) -> "
 
 
 def _double_and_add(point: Point, scalar: int) -> Point:
-    """Schoolbook affine double-and-add (also the test reference)."""
+    """Schoolbook affine double-and-add."""
     result = Point.infinity(point.params)
     addend = point
     while scalar:
@@ -492,17 +489,6 @@ def _double_and_add(point: Point, scalar: int) -> Point:
         addend = addend + addend
         scalar >>= 1
     return result
-
-
-def reference_scalar_mult(point: Point, scalar: int) -> Point:
-    """Affine double-and-add reference implementation.
-
-    Kept as the semantic baseline the Jacobian/wNAF fast path is tested
-    against; not used on any hot path.
-    """
-    if scalar < 0:
-        return reference_scalar_mult(-point, -scalar)
-    return _double_and_add(point, scalar)
 
 
 def generator(params: CurveParams) -> Point:

@@ -72,7 +72,12 @@ class HashMultiSig(MultiSignatureScheme):
         public = _sha(self._domain, b"pk", secret_key)
         return SignatureShare(signer=signer, value=self._share_value(public, message))
 
+    def well_formed(self, share: SignatureShare) -> bool:
+        return isinstance(share.value, bytes)
+
     def verify_share(self, share: SignatureShare, message: bytes, public_key: bytes) -> bool:
+        if not self.well_formed(share):
+            return False
         expected = self._share_value(public_key, message)
         return hmac.compare_digest(expected, share.value)
 

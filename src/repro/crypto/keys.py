@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterator, Mapping, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crypto.multisig import MultiSignatureScheme
 
-__all__ = ["KeyPair", "Committee"]
+__all__ = ["KeyPair", "Committee", "bft_quorum"]
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,17 @@ class Committee:
         """Mark a collector-built aggregate as verified (backend cache seed)."""
         self._scheme.trust_aggregate(aggregate, message, self.public_keys())
 
-    def quorum_size(self, fault_fraction: float = 1 / 3) -> int:
-        """The minimal number of distinct signers for a valid QC.
+    def quorum_size(self) -> int:
+        """The minimal number of distinct signers for a valid QC (:func:`bft_quorum`)."""
+        return bft_quorum(self.size)
 
-        Matches the paper's ``(1 - f) * N`` requirement (rounded up).  A
-        tiny epsilon guards against floating-point noise such as
-        ``(2/3) * 9 == 6.000000000000001``.
-        """
-        import math
 
-        return int(math.ceil((1 - fault_fraction) * self.size - 1e-9))
+def bft_quorum(committee_size: int) -> int:
+    """Distinct signers a valid QC needs: ``floor(2n/3) + 1``.
+
+    The one quorum rule: a root finalises at it and a verifier accepts at
+    it.  It is the least count two of which always share an honest signer
+    when fewer than a third of the ``n`` processes are faulty — 7 at
+    ``n = 9``, where ``ceil(2n/3)`` would accept 6.
+    """
+    return (2 * committee_size) // 3 + 1

@@ -168,6 +168,17 @@ class MultiSignatureScheme(ABC):
         """Sign ``message`` with ``secret_key`` on behalf of ``signer``."""
 
     @abstractmethod
+    def well_formed(self, share: SignatureShare) -> bool:
+        """Whether ``share.value`` is a value this backend can fold at all.
+
+        The checks :meth:`verify_share` makes before its real work, on
+        the value alone: no key, no message, no pairing.  A collection
+        point that defers verification refuses an ill-formed share on
+        arrival with it, so that :meth:`aggregate` never meets a value
+        it must raise on.
+        """
+
+    @abstractmethod
     def verify_share(self, share: SignatureShare, message: bytes, public_key: Any) -> bool:
         """Verify an individual signature share."""
 
@@ -198,8 +209,8 @@ class MultiSignatureScheme(ABC):
         """Record that ``aggregate`` is known valid without re-checking it.
 
         Called by a collector that just *built* the aggregate from
-        individually verified contributions — by linearity the sum
-        verifies, so a later :meth:`verify_aggregate` of the same value
+        verified contributions (one by one, or as one verified batch) —
+        by linearity the sum verifies, so a later :meth:`verify_aggregate` of the same value
         can be answered from a cache instead of a fresh check.  Backends
         without a verification cache ignore it.
         """
@@ -295,6 +306,9 @@ class HashSigMultiSig(MultiSignatureScheme):
                 self._public_of.clear()
             self._public_of[secret_key] = public
         return SignatureShare(signer=signer, value=self._share_value(public, message))
+
+    def well_formed(self, share: SignatureShare) -> bool:
+        return isinstance(share.value, int)
 
     def verify_share(self, share: SignatureShare, message: bytes, public_key: bytes) -> bool:
         return share.value == self._share_value(public_key, message)

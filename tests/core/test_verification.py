@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.block import QuorumCertificate
+from repro.consensus.config import ConsensusConfig
 from repro.core.rewards import RewardParams, compute_rewards
 from repro.core.verification import (
     BlockAuditor,
@@ -88,6 +89,21 @@ def test_below_quorum_certificate_is_rejected(committee, tree):
     verdict = verify_quorum_certificate(qc, tree, committee)
     assert not verdict.valid
     assert any("quorum" in violation for violation in verdict.violations)
+
+
+def test_auditor_holds_certificates_to_the_protocol_quorum():
+    # At n = 9 a root finalises at floor(2n/3) + 1 = 7 signers; a certificate
+    # of ceil(2n/3) = 6 is one no honest root forms, and the auditor refuses it.
+    committee = Committee(HashMultiSig(), size=9, seed=7)
+    tree = AggregationTree.build(committee_size=9, view=4, seed=7, num_internal=2, root=0)
+    assert committee.quorum_size() == ConsensusConfig(committee_size=9).quorum_size == 7
+    six = _build_qc(committee, tree, omit=tree.leaves[:3])
+    seven = _build_qc(committee, tree, omit=tree.leaves[:2])
+    assert len(six.signers) == 6 and len(seven.signers) == 7
+    verdict = BlockAuditor(committee).verify_certificate(six, tree)
+    assert not verdict.valid
+    assert verdict.violations == ("certificate contains 6 signers, quorum requires 7",)
+    assert BlockAuditor(committee).verify_certificate(seven, tree).valid
 
 
 def test_wrong_collector_is_rejected(committee, tree):

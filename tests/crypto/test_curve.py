@@ -10,12 +10,12 @@ from repro.crypto.curve import (
     distortion_map,
     generator,
     hash_to_point,
-    reference_scalar_mult,
     weighted_sum,
 )
 from repro.crypto.field import Fp2
 from repro.crypto.multisig import AggregateSignature, SignatureShare
 from repro.crypto.params import DEFAULT_PARAMS, TOY_PARAMS
+from scalar_reference import reference_scalar_mult
 
 G = generator(TOY_PARAMS)
 R = TOY_PARAMS.r

@@ -16,10 +16,10 @@ from repro.crypto.curve import (
     comb_mult,
     generator,
     hash_to_point,
-    reference_scalar_mult,
 )
 from repro.crypto.multisig import AggregateSignature
 from repro.crypto.params import DEFAULT_PARAMS, TOY_PARAMS
+from scalar_reference import reference_scalar_mult
 
 G = generator(TOY_PARAMS)
 R = TOY_PARAMS.r

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.consensus.config import ConsensusConfig
 from repro.crypto.hash_backend import HashMultiSig
 from repro.crypto.keys import Committee
 
@@ -47,9 +48,9 @@ class TestCommittee:
         assert committee.verify_aggregate(aggregate, b"message")
 
     def test_quorum_size(self, committee):
-        # (1 - 1/3) * 9 = 6
-        assert committee.quorum_size() == 6
-        assert committee.quorum_size(fault_fraction=0.5) == 5
+        # floor(2 * 9 / 3) + 1: the quorum a root finalises at, not ceil(2n/3) = 6.
+        assert committee.quorum_size() == 7
+        assert committee.quorum_size() == ConsensusConfig(committee_size=9).quorum_size
 
     def test_key_pair_accessors(self, committee):
         pair = committee.key_pair(0)
