@@ -6,7 +6,7 @@ Theorem 3 for the paper's parameters (b_l = 15 %, b_a = 2 %).
 """
 
 from benchmarks.conftest import run_once
-from repro.core.incentives import IncentiveAnalysis, recommended_bonus_range
+from repro.analysis.model import honest_strategy_dominates, recommended_bonus_range
 from repro.core.rewards import RewardParams
 
 
@@ -16,15 +16,14 @@ def test_incentive_analysis(benchmark):
     def harness():
         rows = []
         for m in (0.05, 0.10, 0.20, 0.30, 0.33):
-            analysis = IncentiveAnalysis(params, attacker_power=m)
             lower, upper = recommended_bonus_range(m, params.aggregation_bonus)
             rows.append(
                 {
                     "attacker_power": m,
                     "min_leader_bonus": round(lower, 4),
                     "max_leader_bonus": round(upper, 4),
-                    "paper_bl_compatible": analysis.is_incentive_compatible(),
-                    "honest_dominates": analysis.honest_strategy_dominates(),
+                    "paper_bl_compatible": lower < params.leader_bonus < upper,
+                    "honest_dominates": honest_strategy_dominates(m, params),
                 }
             )
         return rows

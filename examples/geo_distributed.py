@@ -26,7 +26,7 @@ Run with::
 import sys
 
 from repro import api
-from repro.analysis.closed_form import iniva_max_latency
+from repro.analysis.model import iniva_max_latency
 from repro.experiments.report import format_rows
 from repro.scenarios import compile_scenario
 

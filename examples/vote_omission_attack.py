@@ -14,8 +14,9 @@ Run with::
 import sys
 
 from repro import api
+from repro.analysis.model import iniva_omission, star_omission
 from repro.attacks.gosig_sim import GosigConfig, GosigSimulator
-from repro.attacks.omission import analytic_star_omission, omission_probability
+from repro.attacks.omission import omission_probability
 from repro.attacks.reward_sim import RewardAttackSimulator
 from repro.core.rewards import RewardParams
 
@@ -26,7 +27,7 @@ SCALE = 10 if QUICK else 1  # divide all trial counts in quick mode
 
 def omission_probabilities(attacker_power: float = 0.10) -> None:
     print(f"=== Targeted vote omission, attacker controls {attacker_power:.0%} ===")
-    star = analytic_star_omission(attacker_power)
+    star = star_omission(attacker_power)
     iniva = omission_probability(attacker_power, collateral=0, trials=20_000 // SCALE, seed=1)
     gosig = GosigSimulator(
         GosigConfig(gossip_fanout=2, attacker_power=attacker_power), seed=1
@@ -40,7 +41,7 @@ def omission_probabilities(attacker_power: float = 0.10) -> None:
     print(f"Gosig k=2:                             {gosig.probability:6.2%}")
     print(f"Gosig k=2 with 30% free-riding:        {gosig_fr.probability:6.2%}")
     print(f"Iniva (tree + 2ND-CHANCE fallback):    {iniva.probability:6.2%}"
-          f"   (analytic m^2 = {attacker_power ** 2:.2%})")
+          f"   (analytic m^2 = {iniva_omission(attacker_power):.2%})")
     print(f"-> Iniva reduces the censorship chance by a factor of "
           f"{star / max(iniva.probability, 1e-9):.0f}x\n")
 

@@ -29,8 +29,7 @@ Subpackages
     built-in preset catalogue.
 ``repro.core``
     The paper's contribution: the Iniva aggregation protocol, its reward
-    scheme, the game-theoretic incentive analysis, the QC/reward audit
-    path and the Rebop reputation election.
+    scheme, the QC/reward audit path and the Rebop reputation election.
 ``repro.crypto``
     Indivisible multi-signature substrate (pure-Python BLS and a fast
     hash-based simulation backend).
@@ -45,10 +44,13 @@ Subpackages
 ``repro.aggregation``
     Baseline aggregation schemes: star (HotStuff), plain tree
     (Iniva-No2C), Kauri, Gosig and Handel.
-``repro.attacks`` / ``repro.analysis``
-    Targeted vote-omission attack simulators, the Gosig model, the
-    analytic security results (Table I, closed forms) and protocol
-    property checkers.
+``repro.analysis``
+    The paper's analysis, each formula stated once in
+    :mod:`repro.analysis.model` (Table I, Theorem 4, Section VI's
+    incentive analysis, the 7Δ bound), and protocol property checkers.
+``repro.attacks``
+    The Monte-Carlo that cross-checks the model: targeted vote-omission
+    and reward-loss simulators and the Gosig simulation.
 ``repro.experiments`` / ``repro.cli``
     The simulator deployment builder, the per-figure spec grids and the
     ``python -m repro`` command-line interface.

@@ -12,7 +12,8 @@ sizes:
 * :func:`check_reliable_dissemination` — every committed block is known by
   every correct replica (Definition 2 restricted to committed views).
 * :func:`check_fulfillment` — every certificate contains at least
-  ``(1 - f) N`` signatures (Definition 3 / Corollary 1).
+  ``bft_quorum(N)`` signatures, the integer ``(1 - f) N`` of
+  Definition 3 / Corollary 1.
 * :func:`check_inclusiveness` — certificates formed while proposer and
   collector were correct contain *every* correct process
   (Definition 4 / Theorem 2).
@@ -23,11 +24,11 @@ rather than a bare boolean, which makes test failures actionable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from repro.consensus.block import Block, QuorumCertificate
+from repro.crypto.keys import bft_quorum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import Deployment
@@ -138,16 +139,17 @@ def check_reliable_dissemination(deployment: "Deployment") -> PropertyReport:
 # ---------------------------------------------------------------------------
 # Fulfillment
 # ---------------------------------------------------------------------------
-def check_fulfillment(
-    deployment: "Deployment", fault_fraction: float = 1 / 3
-) -> PropertyReport:
-    """Every certificate carries at least ``(1 - f) N`` signatures."""
+def check_fulfillment(deployment: "Deployment") -> PropertyReport:
+    """Every certificate carries a quorum: ``bft_quorum(N) = N - floor((N - 1) / 3)``.
+
+    That is the integer reading of Definition 3's ``(1 - f) N`` with
+    ``f·N`` faulty processes tolerated, and the count a verifier accepts.
+    """
     report = PropertyReport(name="fulfillment", holds=True)
-    n = deployment.config.committee_size
-    threshold = int(math.ceil((1.0 - fault_fraction) * n - 1e-9))
+    threshold = bft_quorum(deployment.config.committee_size)
     for block_id, qc in _known_certificates(deployment).items():
         report.checked += 1
-        if qc.size < min(threshold, deployment.config.quorum_size):
+        if qc.size < threshold:
             report.holds = False
             report.violations.append(
                 f"certificate for {block_id} has {qc.size} signatures, requires {threshold}"
@@ -205,15 +207,13 @@ def check_inclusiveness(
 
 
 def check_all_properties(
-    deployment: "Deployment",
-    fault_fraction: float = 1 / 3,
-    minimum_inclusion: float = 1.0,
+    deployment: "Deployment", minimum_inclusion: float = 1.0
 ) -> Dict[str, PropertyReport]:
     """Run every checker and return the reports keyed by property name."""
     reports = [
         check_no_forks(deployment),
         check_reliable_dissemination(deployment),
-        check_fulfillment(deployment, fault_fraction=fault_fraction),
+        check_fulfillment(deployment),
         check_inclusiveness(deployment, minimum_inclusion=minimum_inclusion),
     ]
     return {report.name: report for report in reports}

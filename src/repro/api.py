@@ -295,7 +295,7 @@ class Figure:
 
 
 def _run_table1(seed: int = 1, attacker_power: float = 0.1, gosig_trials: int = 800, **kwargs):
-    from repro.analysis.table1 import table1
+    from repro.analysis.model import table1
 
     rows = table1(
         attacker_power=attacker_power, gosig_trials=gosig_trials, seed=seed, **kwargs

@@ -1,6 +1,9 @@
 """Attack models and Monte-Carlo simulations (Section VII of the paper).
 
-This package reproduces the paper's security *simulations* (Figure 2):
+This package reproduces the paper's security *simulations* (Figure 2).
+They are the Monte-Carlo cross-check of the closed forms, which are
+stated once in :mod:`repro.analysis.model`; Gosig has no closed form, so
+its simulation here is the only source of its numbers.
 
 * :mod:`repro.attacks.adversary` — adversary/role sampling shared by all
   simulations (attacker controls a random fraction ``m`` of the committee).

@@ -5,7 +5,9 @@ Section VII-A: which combinations of corrupted roles allow the adversary
 to keep the victim's signature out of the final certificate, and how many
 other honest processes must be sacrificed (the *collateral*) to do so.
 Monte-Carlo sampling of role assignments then yields the c-omission
-probability of Definition 5 (Figures 2a and 2b).
+probability of Definition 5 (Figures 2a and 2b), the cross-check of the
+closed forms in :mod:`repro.analysis.model` (``m`` for the star, Theorem
+4's ``m²`` for Iniva).
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ __all__ = [
     "iniva_minimal_collateral",
     "star_minimal_collateral",
     "omission_probability",
-    "analytic_iniva_omission",
-    "analytic_star_omission",
 ]
 
 #: Collateral value meaning "the attack is impossible this round".
@@ -164,26 +164,3 @@ def omission_probability(
         trials=trials,
         successes=successes,
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed forms (used in Table I and as cross-checks for the Monte Carlo)
-# ---------------------------------------------------------------------------
-
-def analytic_star_omission(attacker_power: float) -> float:
-    """0-omission probability of the star protocol: ``m`` (Table I)."""
-    if not 0 <= attacker_power <= 1:
-        raise ValueError("attacker power must lie in [0, 1]")
-    return attacker_power
-
-
-def analytic_iniva_omission(attacker_power: float) -> float:
-    """0-omission probability of Iniva: ``m^2`` (Theorem 4).
-
-    Whether the victim is a leaf (needs root + parent) or an internal node
-    (needs root + proposer), two independent uniformly assigned roles must
-    fall to the adversary: ``P·m² + (1-P)·m² = m²``.
-    """
-    if not 0 <= attacker_power <= 1:
-        raise ValueError("attacker power must lie in [0, 1]")
-    return attacker_power ** 2

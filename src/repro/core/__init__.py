@@ -6,13 +6,14 @@
 * :mod:`repro.core.rewards` — the rewarding mechanism (leader bonus,
   aggregation bonus, 2ND-CHANCE punishment, redistribution) computed and
   verified purely from the QC's signature multiplicities.
-* :mod:`repro.core.incentives` — the game-theoretic incentive analysis of
-  Section VI (strategy space, utility functions, dominance conditions).
 * :mod:`repro.core.verification` — the verification path every process
   runs against a leader's QC and reward claims (Section V-B: a leader
   reporting wrong multiplicities or payouts is considered faulty).
 * :mod:`repro.core.reputation` — the Rebop reputation-based leader
   election the paper contrasts Iniva with (Section IV-D).
+
+The game-theoretic incentive analysis of Section VI lives with the rest
+of the paper's closed forms in :mod:`repro.analysis.model`.
 """
 
 from repro.core.iniva import InivaAggregator
@@ -23,13 +24,6 @@ from repro.core.rewards import (
     compute_rewards,
     compute_star_rewards,
     validate_multiplicities,
-)
-from repro.core.incentives import (
-    IncentiveAnalysis,
-    Strategy,
-    aggregation_denial_condition,
-    vote_denial_condition,
-    vote_omission_condition,
 )
 from repro.core.verification import (
     BlockAuditor,
@@ -42,20 +36,15 @@ from repro.core.verification import (
 __all__ = [
     "BlockAuditor",
     "CertificateVerdict",
-    "IncentiveAnalysis",
     "InivaAggregator",
     "RebopElection",
     "ReputationTracker",
     "RewardAuditReport",
     "RewardDistribution",
     "RewardParams",
-    "Strategy",
-    "aggregation_denial_condition",
     "audit_rewards",
     "compute_rewards",
     "compute_star_rewards",
     "validate_multiplicities",
     "verify_quorum_certificate",
-    "vote_denial_condition",
-    "vote_omission_condition",
 ]

@@ -115,6 +115,38 @@ class RewardDistribution:
         return self.reward_of(process_id) / fair - 1.0
 
 
+def _reward_threshold(committee_size: int, params: RewardParams) -> int:
+    """The ``(1 - f)·n`` votes beyond which the leader's bonus grows (Equation 2).
+
+    It is ``ceil((1 - f)·n)`` taken in floating point.  For ``f = 1/3`` the
+    product rounds up past most whole thirds, so the value equals the
+    consensus quorum :func:`repro.crypto.keys.bft_quorum` except where it
+    lands on ``2n/3`` exactly (``n = 3·2^k``), where it is one less.  The
+    reward figures 2c and 2d were computed with this value, so the scheme
+    keeps it rather than switching to either integer reading.
+    """
+    return math.ceil((1 - params.fault_fraction) * committee_size)
+
+
+def _leader_bonus(
+    params: RewardParams, committee_size: int, leader_included: bool, votes: int
+) -> float:
+    """The leader's variational bonus for a certificate of ``votes`` signers.
+
+    ``b_l·R`` scaled by the votes beyond the reward threshold (the
+    Cosmos-style bonus); nothing when the leader's own vote is missing.
+    """
+    if not leader_included:
+        return 0.0
+    budget = params.leader_bonus * params.total_reward
+    minimum_votes = _reward_threshold(committee_size, params)
+    surplus_capacity = committee_size - minimum_votes
+    if surplus_capacity <= 0:
+        return budget
+    surplus = max(votes - minimum_votes, 0)
+    return budget * min(surplus / surplus_capacity, 1.0)
+
+
 def validate_multiplicities(
     tree: AggregationTree, multiplicities: Mapping[int, int]
 ) -> List[str]:
@@ -223,18 +255,8 @@ def compute_rewards(
     pool += max(aggregation_budget - earned_aggregation, 0.0)
 
     # -- leader's variational bonus ---------------------------------------------
-    leader_budget = params.leader_bonus * reward
-    minimum_votes = math.ceil((1 - params.fault_fraction) * n)
-    surplus_capacity = n - minimum_votes
-    if tree.root in included and surplus_capacity > 0:
-        surplus = max(len(included) - minimum_votes, 0)
-        leader_earned = leader_budget * min(surplus / surplus_capacity, 1.0)
-    elif tree.root in included:
-        leader_earned = leader_budget
-    else:
-        leader_earned = 0.0
-    distribution.leader_reward = leader_earned
-    pool += leader_budget - leader_earned
+    distribution.leader_reward = _leader_bonus(params, n, tree.root in included, len(included))
+    pool += params.leader_bonus * reward - distribution.leader_reward
 
     # -- redistribution (Requirement 4: the full R is always paid out) ------------
     distribution.redistributed = pool
@@ -278,18 +300,8 @@ def compute_star_rewards(
         else:
             pool += voting_share
 
-    leader_budget = params.leader_bonus * reward
-    minimum_votes = math.ceil((1 - params.fault_fraction) * n)
-    surplus_capacity = n - minimum_votes
-    if leader in included_set and surplus_capacity > 0:
-        surplus = max(len(included_set) - minimum_votes, 0)
-        leader_earned = leader_budget * min(surplus / surplus_capacity, 1.0)
-    elif leader in included_set:
-        leader_earned = leader_budget
-    else:
-        leader_earned = 0.0
-    distribution.leader_reward = leader_earned
-    pool += leader_budget - leader_earned
+    distribution.leader_reward = _leader_bonus(params, n, leader in included_set, len(included_set))
+    pool += params.leader_bonus * reward - distribution.leader_reward
 
     distribution.redistributed = pool
     per_process = pool / n

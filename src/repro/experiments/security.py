@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.model import star_omission
 from repro.attacks.gosig_sim import GosigConfig, GosigSimulator
-from repro.attacks.omission import analytic_star_omission, omission_probability
+from repro.attacks.omission import omission_probability
 from repro.attacks.reward_sim import RewardAttackSimulator
 from repro.core.rewards import RewardParams
 from repro.experiments.runner import parallel_map
@@ -54,9 +55,7 @@ def _omission_cell(cell: Dict[str, object]) -> Dict[str, object]:
         )
         row["omission_probability"] = round(outcome.probability, 4)
     elif kind == "star":
-        row["omission_probability"] = round(
-            analytic_star_omission(float(cell["attacker_power"])), 4
-        )
+        row["omission_probability"] = round(star_omission(float(cell["attacker_power"])), 4)
     else:  # iniva
         outcome = omission_probability(
             float(cell["attacker_power"]),

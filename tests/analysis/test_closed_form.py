@@ -1,4 +1,4 @@
-"""Tests for the closed-form security and performance models."""
+"""Tests for the tree-shape, Theorem 4 and Section VI closed forms in :mod:`repro.analysis.model`."""
 
 from __future__ import annotations
 
@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.closed_form import (
-    attacker_loss_vote_denial,
-    attacker_loss_vote_omission,
+from repro.analysis.model import (
+    Strategy,
     branch_exclusion_cost,
     branch_size,
-    fulfillment_threshold,
-    gosig_coverage,
-    gosig_inclusion_probability,
-    iniva_c_omission,
+    deviation_outcome,
     iniva_max_latency,
+    iniva_omission,
     victim_loss_vote_omission,
 )
 from repro.core.rewards import RewardParams
+
+
+def attacker_net_loss(strategy, attacker_power, params):
+    """``L - m·R_redistributed``: the attacker's expected net loss."""
+    return -deviation_outcome(strategy, attacker_power, params).net_gain
 
 
 # ---------------------------------------------------------------------------
@@ -36,26 +38,26 @@ def test_branch_size_matches_paper_configurations():
 
 
 def test_iniva_c_omission_small_collateral_is_m_squared():
-    assert iniva_c_omission(0.1, 111, 10, collateral=0) == pytest.approx(0.01)
-    assert iniva_c_omission(0.1, 111, 10, collateral=5) == pytest.approx(0.01)
+    assert iniva_omission(0.1, collateral=0) == pytest.approx(0.01)
+    assert iniva_omission(0.1, collateral=5) == pytest.approx(0.01)
 
 
 def test_iniva_c_omission_degrades_to_m_for_whole_branch():
-    assert iniva_c_omission(0.1, 111, 10, collateral=10) == pytest.approx(0.1)
-    assert iniva_c_omission(0.1, 111, 10, collateral=50) == pytest.approx(0.1)
+    assert iniva_omission(0.1, collateral=10) == pytest.approx(0.1)
+    assert iniva_omission(0.1, collateral=50) == pytest.approx(0.1)
 
 
 def test_iniva_c_omission_validation():
     with pytest.raises(ValueError):
-        iniva_c_omission(1.5, 111, 10)
+        iniva_omission(1.5)
     with pytest.raises(ValueError):
-        iniva_c_omission(0.1, 111, 10, collateral=-1)
+        iniva_omission(0.1, collateral=-1)
 
 
 def test_table1_factor_of_ten_claim():
     """The paper: at m = 10 % the omission probability drops by 10x vs star."""
     star = 0.10
-    iniva = iniva_c_omission(0.10, 111, 10, collateral=0)
+    iniva = iniva_omission(0.10, collateral=0)
     assert star / iniva == pytest.approx(10.0)
 
 
@@ -81,9 +83,9 @@ def test_branch_exclusion_cost_versus_star():
 def test_attacker_loss_vote_omission_sign_depends_on_bonus():
     """Equation 3: honest behaviour dominates when b_l is large enough."""
     generous = RewardParams(leader_bonus=0.15, aggregation_bonus=0.02)
-    assert attacker_loss_vote_omission(0.1, 0.05, generous) > 0
+    assert attacker_net_loss(Strategy(leader_omission=0.05), 0.1, generous) > 0
     stingy = RewardParams(leader_bonus=0.001, aggregation_bonus=0.02)
-    assert attacker_loss_vote_omission(0.4, 0.3, stingy) < 0
+    assert attacker_net_loss(Strategy(leader_omission=0.3), 0.4, stingy) < 0
 
 
 def test_victim_loss_is_linear_in_omitted_fraction():
@@ -99,38 +101,9 @@ def test_vote_denial_costs_attacker_more_than_omission():
     params = RewardParams(leader_bonus=0.15, aggregation_bonus=0.02)
     m = 0.1
     fraction = 0.05
-    denial = attacker_loss_vote_denial(m, fraction, params)
-    omission = attacker_loss_vote_omission(m, fraction, params)
+    denial = attacker_net_loss(Strategy(vote_denial=fraction), m, params)
+    omission = attacker_net_loss(Strategy(leader_omission=fraction), m, params)
     assert denial > omission > 0
-
-
-# ---------------------------------------------------------------------------
-# Gosig coverage
-# ---------------------------------------------------------------------------
-def test_gosig_coverage_monotone_in_rounds():
-    previous = 0.0
-    for rounds in range(0, 10):
-        coverage = gosig_coverage(100, 2, rounds)
-        assert coverage >= previous
-        previous = coverage
-    assert gosig_coverage(100, 2, 0) == pytest.approx(0.01)
-    assert gosig_coverage(100, 2, 12) > 0.95
-
-
-def test_gosig_coverage_monotone_in_fanout():
-    assert gosig_coverage(100, 3, 4) >= gosig_coverage(100, 2, 4)
-    with pytest.raises(ValueError):
-        gosig_coverage(100, 0, 4)
-    with pytest.raises(ValueError):
-        gosig_coverage(1, 2, 4)
-    with pytest.raises(ValueError):
-        gosig_coverage(100, 2, -1)
-
-
-def test_free_riding_lowers_inclusion_probability():
-    honest = gosig_inclusion_probability(100, 2, 4, free_riding_fraction=0.0)
-    lazy = gosig_inclusion_probability(100, 2, 4, free_riding_fraction=0.5)
-    assert lazy <= honest
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +113,6 @@ def test_iniva_max_latency_is_seven_delta():
     assert iniva_max_latency(0.005) == pytest.approx(0.035)
     with pytest.raises(ValueError):
         iniva_max_latency(0.0)
-
-
-def test_fulfillment_threshold_matches_quorum_rule():
-    assert fulfillment_threshold(21) == 14
-    assert fulfillment_threshold(111) == 74
-    assert fulfillment_threshold(9, fault_fraction=1 / 3) == 6
-    with pytest.raises(ValueError):
-        fulfillment_threshold(0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +127,5 @@ def test_fulfillment_threshold_matches_quorum_rule():
 )
 def test_property_c_omission_between_m_squared_and_m(m, n, internal, collateral):
     internal = min(internal, n - 2)
-    probability = iniva_c_omission(m, n, internal, collateral)
+    probability = iniva_omission(m, collateral, n, internal)
     assert m ** 2 - 1e-12 <= probability <= m + 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=2, max_value=300),
-    k=st.integers(min_value=1, max_value=8),
-    rounds=st.integers(min_value=0, max_value=20),
-)
-def test_property_coverage_is_a_probability(n, k, rounds):
-    coverage = gosig_coverage(n, k, rounds)
-    assert 0.0 <= coverage <= 1.0

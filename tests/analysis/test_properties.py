@@ -3,6 +3,7 @@ fulfillment, inclusiveness) over finished simulated deployments."""
 
 from __future__ import annotations
 
+import dataclasses
 
 from repro.analysis.properties import (
     check_all_properties,
@@ -12,6 +13,7 @@ from repro.analysis.properties import (
     check_reliable_dissemination,
 )
 from repro.consensus.config import ConsensusConfig
+from repro.crypto.multisig import AggregateSignature
 from repro.experiments.runner import build_deployment
 from repro.experiments.workloads import ClientWorkload
 from repro.simnet.failures import FailureInjector, FailurePlan
@@ -128,3 +130,17 @@ def test_reports_carry_violation_details():
     assert not report.holds
     assert report.violations
     assert all("includes" in violation for violation in report.violations)
+
+
+def test_fulfillment_requires_the_bft_quorum():
+    """At n = 9 a QC needs 7 signers; a 6-signer QC found at a correct replica fails."""
+    deployment = _finished_deployment(duration=0.5)
+    assert check_fulfillment(deployment).holds
+    replica = next(r for r in deployment.replicas if not r.crashed)
+    block = next(b for b in replica.blocks.values() if not b.qc.is_genesis)
+    six = AggregateSignature(block.qc.aggregate.value, {pid: 1 for pid in range(6)})
+    short_qc = dataclasses.replace(block.qc, block_id="six-signers", aggregate=six)
+    replica.blocks["six-signers"] = dataclasses.replace(block, qc=short_qc)
+    report = check_fulfillment(deployment)
+    assert not report.holds
+    assert report.violations == ["certificate for six-signers has 6 signatures, requires 7"]

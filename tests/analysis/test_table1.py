@@ -1,38 +1,38 @@
-"""Tests for the analytic security model and Table I."""
+"""Tests for Table I and its rows in :mod:`repro.analysis.model`."""
 
 import pytest
 
-from repro.analysis.omission_analysis import (
-    gosig_zero_omission,
-    iniva_zero_omission,
-    randomized_tree_zero_omission,
-    star_zero_omission,
+from repro.analysis.model import (
+    format_table1,
+    iniva_omission,
+    randomized_tree_omission,
+    star_omission,
+    table1,
 )
-from repro.analysis.table1 import format_table1, table1
 
 
 class TestClosedForms:
     def test_star_is_m(self):
-        assert star_zero_omission(0.25) == 0.25
+        assert star_omission(0.25) == 0.25
 
     def test_iniva_is_m_squared(self):
-        assert iniva_zero_omission(0.25) == pytest.approx(0.0625)
+        assert iniva_omission(0.25) == pytest.approx(0.0625)
 
     def test_randomized_tree_repeats_every_round(self):
-        single = randomized_tree_zero_omission(0.2, rounds_controlled=1)
-        many = randomized_tree_zero_omission(0.2, rounds_controlled=10)
+        single = randomized_tree_omission(0.2, rounds_controlled=1)
+        many = randomized_tree_omission(0.2, rounds_controlled=10)
         assert single == pytest.approx(0.2)
         assert many > single
 
     def test_gosig_estimate_between_zero_and_one(self):
-        value = gosig_zero_omission(0.1, trials=200, seed=1)
-        assert 0.0 <= value <= 1.0
+        gosig = next(row for row in table1(0.1, gosig_trials=200, seed=1) if "Gosig" in row.name)
+        assert 0.0 <= gosig.zero_omission_value <= 1.0
 
     def test_invalid_power_rejected(self):
         with pytest.raises(ValueError):
-            star_zero_omission(1.2)
+            star_omission(1.2)
         with pytest.raises(ValueError):
-            iniva_zero_omission(-0.2)
+            iniva_omission(-0.2)
 
 
 class TestTable1:
@@ -59,13 +59,8 @@ class TestTable1:
         assert not gosig.incentive_compatible
 
     def test_iniva_has_lowest_omission_probability(self, rows):
-        values = {row.name: row.zero_omission_value for row in rows if row.zero_omission_value}
+        values = {row.name: row.zero_omission_value for row in rows}
         assert min(values, key=values.get) == "Iniva"
-
-    def test_without_gosig_estimate(self):
-        rows = table1(attacker_power=0.1, estimate_gosig=False)
-        gosig = next(row for row in rows if "Gosig" in row.name)
-        assert gosig.zero_omission_value is None
 
     def test_as_dict_and_formatting(self, rows):
         as_dict = rows[0].as_dict()

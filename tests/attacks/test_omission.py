@@ -3,11 +3,10 @@
 
 import pytest
 
+from repro.analysis.model import iniva_omission, star_omission
 from repro.attacks.adversary import AdversaryModel, RoleAssignment
 from repro.attacks.omission import (
     IMPOSSIBLE,
-    analytic_iniva_omission,
-    analytic_star_omission,
     iniva_minimal_collateral,
     omission_probability,
     star_minimal_collateral,
@@ -87,12 +86,12 @@ class TestInivaCollateral:
 class TestMonteCarloOmission:
     def test_iniva_matches_m_squared(self):
         outcome = omission_probability(0.2, collateral=0, committee_size=111, trials=6000, seed=1)
-        expected = analytic_iniva_omission(0.2)
+        expected = iniva_omission(0.2)
         assert outcome.probability == pytest.approx(expected, abs=3 * outcome.standard_error + 0.01)
 
     def test_star_matches_m(self):
         outcome = omission_probability(0.2, protocol="star", trials=6000, seed=2)
-        assert outcome.probability == pytest.approx(analytic_star_omission(0.2), abs=0.02)
+        assert outcome.probability == pytest.approx(star_omission(0.2), abs=0.02)
 
     def test_probability_monotone_in_attacker_power(self):
         low = omission_probability(0.05, trials=4000, seed=3).probability
@@ -113,7 +112,7 @@ class TestMonteCarloOmission:
 
     def test_iniva_much_safer_than_star(self):
         iniva = omission_probability(0.1, trials=5000, seed=6).probability
-        star = analytic_star_omission(0.1)
+        star = star_omission(0.1)
         assert iniva < star / 3
 
     def test_unknown_protocol(self):
@@ -128,15 +127,15 @@ class TestMonteCarloOmission:
 
 class TestAnalyticForms:
     def test_iniva_quadratic(self):
-        assert analytic_iniva_omission(0.1) == pytest.approx(0.01)
-        assert analytic_iniva_omission(0.3) == pytest.approx(0.09)
+        assert iniva_omission(0.1) == pytest.approx(0.01)
+        assert iniva_omission(0.3) == pytest.approx(0.09)
 
     def test_reduction_factor_at_ten_percent(self):
         # The paper's abstract: at m = 10 % the chance to omit an individual
         # signature drops by a factor of 10.
-        factor = analytic_star_omission(0.1) / analytic_iniva_omission(0.1)
+        factor = star_omission(0.1) / iniva_omission(0.1)
         assert factor == pytest.approx(10.0)
 
     def test_invalid_power_rejected(self):
         with pytest.raises(ValueError):
-            analytic_star_omission(-0.1)
+            star_omission(-0.1)

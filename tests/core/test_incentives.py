@@ -1,12 +1,14 @@
-"""Tests for the game-theoretic incentive analysis (Section VI)."""
+"""Tests for the game-theoretic incentive analysis (Section VI) in :mod:`repro.analysis.model`."""
 
 import pytest
 
-from repro.core.incentives import (
-    IncentiveAnalysis,
+from repro.analysis.model import (
     Strategy,
     aggregation_denial_condition,
+    deviation_outcome,
+    honest_strategy_dominates,
     recommended_bonus_range,
+    strategy_grid,
     vote_denial_condition,
     vote_omission_condition,
 )
@@ -36,8 +38,11 @@ class TestClosedFormConditions:
 
     def test_equation_6_always_holds_below_one(self):
         assert aggregation_denial_condition(0.49)
-        assert aggregation_denial_condition(0.0)
-        assert not aggregation_denial_condition(1.0)
+        assert aggregation_denial_condition(0.01)
+        # Section VI assumes m in (0, 0.5); outside it there is no analysis.
+        for outside in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                aggregation_denial_condition(outside)
 
     def test_bounds_grow_with_attacker_power(self):
         assert vote_omission_condition(0.3) > vote_omission_condition(0.1)
@@ -50,62 +55,65 @@ class TestClosedFormConditions:
 
 
 class TestIncentiveAnalysis:
-    @pytest.fixture(scope="class")
-    def analysis(self):
-        params = RewardParams(leader_bonus=0.15, aggregation_bonus=0.02)
-        return IncentiveAnalysis(params, attacker_power=0.2)
+    PARAMS = RewardParams(leader_bonus=0.15, aggregation_bonus=0.02)
+    M = 0.2
+
+    def outcome(self, params=PARAMS, attacker_power=M, **fractions):
+        return deviation_outcome(Strategy(**fractions), attacker_power, params)
 
     def test_rejects_majority_attacker(self):
         with pytest.raises(ValueError):
-            IncentiveAnalysis(attacker_power=0.6)
+            deviation_outcome(Strategy(), 0.6)
 
-    def test_vote_omission_not_profitable(self, analysis):
-        outcome = analysis.vote_omission(leader_omission=0.2)
+    def test_vote_omission_not_profitable(self):
+        outcome = self.outcome(leader_omission=0.2)
         assert outcome.dominated_by_honest
         assert outcome.attacker_loss > 0
 
-    def test_vote_denial_not_profitable(self, analysis):
-        assert analysis.vote_denial(0.2).dominated_by_honest
+    def test_vote_denial_not_profitable(self):
+        assert self.outcome(vote_denial=0.2).dominated_by_honest
 
-    def test_aggregation_attacks_not_profitable(self, analysis):
-        assert analysis.aggregation_denial(0.1).dominated_by_honest
-        assert analysis.aggregation_omission(0.1).dominated_by_honest
+    def test_aggregation_attacks_not_profitable(self):
+        assert self.outcome(aggregation_denial=0.1).dominated_by_honest
+        assert self.outcome(aggregation_omission=0.1).dominated_by_honest
 
-    def test_combined_strategy_dominated(self, analysis):
+    def test_combined_strategy_dominated(self):
         strategy = Strategy(0.1, 0.1, 0.05, 0.05)
-        assert analysis.evaluate(strategy).dominated_by_honest
+        assert deviation_outcome(strategy, self.M, self.PARAMS).dominated_by_honest
 
-    def test_theorem3_dominance_over_grid(self, analysis):
-        assert analysis.honest_strategy_dominates()
+    def test_theorem3_dominance_over_grid(self):
+        assert honest_strategy_dominates(self.M, self.PARAMS)
 
-    def test_incentive_compatibility_of_paper_parameters(self, analysis):
-        assert analysis.is_incentive_compatible()
+    def test_incentive_compatibility_of_paper_parameters(self):
+        lower, upper = recommended_bonus_range(self.M, self.PARAMS.aggregation_bonus)
+        assert lower < self.PARAMS.leader_bonus < upper
 
     def test_too_small_leader_bonus_breaks_compatibility(self):
         params = RewardParams(leader_bonus=0.01, aggregation_bonus=0.02)
-        analysis = IncentiveAnalysis(params, attacker_power=0.3)
-        assert not analysis.is_incentive_compatible()
+        lower, _ = recommended_bonus_range(0.3, params.aggregation_bonus)
+        assert params.leader_bonus <= lower
         # And vote omission indeed becomes profitable for the attacker.
-        assert not analysis.vote_omission(0.3).dominated_by_honest
-        assert not analysis.honest_strategy_dominates()
+        assert not self.outcome(params, 0.3, leader_omission=0.3).dominated_by_honest
+        assert not honest_strategy_dominates(0.3, params)
 
     def test_excessive_leader_bonus_breaks_compatibility(self):
         params = RewardParams(leader_bonus=0.8, aggregation_bonus=0.02)
-        analysis = IncentiveAnalysis(params, attacker_power=0.3)
-        assert not analysis.is_incentive_compatible()
-        assert not analysis.vote_denial(0.3).dominated_by_honest
+        _, upper = recommended_bonus_range(0.3, params.aggregation_bonus)
+        assert params.leader_bonus >= upper
+        assert not self.outcome(params, 0.3, vote_denial=0.3).dominated_by_honest
 
-    def test_summary_keys(self, analysis):
-        summary = analysis.summary()
-        assert summary["incentive_compatible"] == 1.0
-        assert summary["required_leader_bonus_min"] < 0.15 < summary["allowed_leader_bonus_max"]
+    def test_summary_keys(self):
+        # The range's ends are Equation 3's minimum and Equation 5's maximum.
+        lower, upper = recommended_bonus_range(self.M, self.PARAMS.aggregation_bonus)
+        assert lower == vote_omission_condition(self.M)
+        assert upper == vote_denial_condition(self.M, self.PARAMS.aggregation_bonus)
 
-    def test_honest_strategy_has_zero_outcome(self, analysis):
-        outcome = analysis.evaluate(Strategy())
+    def test_honest_strategy_has_zero_outcome(self):
+        outcome = self.outcome()
         assert outcome.attacker_loss == pytest.approx(0.0)
         assert outcome.redistributed == pytest.approx(0.0)
 
-    def test_strategy_grid_contains_honest_and_extremes(self, analysis):
-        grid = analysis.strategy_grid(steps=2)
+    def test_strategy_grid_contains_honest_and_extremes(self):
+        grid = strategy_grid(steps=2)
         assert any(s.is_honest for s in grid)
         assert len(grid) == 3 ** 4

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.rewards import (
     RewardParams,
+    _reward_threshold,
     compute_rewards,
     compute_star_rewards,
     validate_multiplicities,
 )
+from repro.crypto.keys import bft_quorum
 from repro.tree.overlay import AggregationTree
 
 
@@ -211,3 +213,11 @@ class TestConservationProperty:
         distribution = compute_rewards(tree, multiplicities, PARAMS)
         assert distribution.total_paid() == pytest.approx(PARAMS.total_reward)
         assert all(value >= -1e-12 for value in distribution.payouts.values())
+
+
+def test_reward_threshold_is_bft_quorum_except_at_exact_thirds():
+    """The float ``ceil((1 - f)·n)`` lands on ``2n/3`` only at ``n = 3·2^k``."""
+    params = RewardParams()
+    exact_thirds = {3 * 2 ** k for k in range(7)}
+    for n in range(2, 301):
+        assert _reward_threshold(n, params) == bft_quorum(n) - (n in exact_thirds), n
