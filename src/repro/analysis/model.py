@@ -278,7 +278,9 @@ def deviation_outcome(
       ``b_l · R``;
     * vote denial: the attacker loses ``e_v · b_v · R`` of voting reward,
       and the leader and aggregation bonuses those votes carried are
-      redistributed with it;
+      redistributed with it.  The leader-bonus share ``e_v / f · b_l · R``
+      clamps ``e_v`` at ``f`` by the same rule as ``e_l``: the pot never
+      holds more than the whole bonus ``b_l · R``;
     * aggregation denial: leaves that bypass their parent are punished by
       ``e_a · b_a · R``, and the parent's forgone bonus joins the pot;
     * aggregation omission: internal nodes lose ``e_p · b_a · R`` of
@@ -304,7 +306,7 @@ def deviation_outcome(
         ),
         (
             lost_voting,
-            (ev / f) * params.leader_bonus * reward
+            (min(ev, f) / f) * params.leader_bonus * reward
             + ev * params.aggregation_bonus * reward
             + lost_voting,
         ),

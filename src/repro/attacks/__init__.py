@@ -20,7 +20,7 @@ its simulation here is the only source of its numbers.
 """
 
 from repro.attacks.adversary import AdversaryModel, RoleAssignment
-from repro.attacks.byzantine import corrupt_replica, corrupt_replicas
+from repro.attacks.byzantine import corrupt_replica
 from repro.attacks.gosig_sim import GosigConfig, GosigSimulator
 from repro.attacks.omission import (
     OmissionOutcome,
@@ -39,7 +39,6 @@ __all__ = [
     "RewardAttackSimulator",
     "RoleAssignment",
     "corrupt_replica",
-    "corrupt_replicas",
     "iniva_minimal_collateral",
     "omission_probability",
     "star_minimal_collateral",

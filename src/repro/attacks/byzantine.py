@@ -7,22 +7,24 @@ claims can be exercised end-to-end: a corrupted internal aggregator that
 silently drops its victim's share, and a corrupted collector that withholds
 the victim's 2ND-CHANCE and discards its direct contributions.
 
-Used by the integration tests to demonstrate Theorem 4 on live runs: a
-single corrupted role is never enough to omit the victim — the fallback
-path (honest collector) or the indivisible parent aggregate (honest
-parent) always re-adds it — while a coalition holding both roles succeeds.
+A spec's omission cartel reaches the replicas through the fault
+executor of both runtimes: :class:`repro.chaos.driver.ChaosDriver` calls
+:func:`corrupt_replica` for every attacker in the plan before the replica
+starts.  The integration tests drive such plans to demonstrate Theorem 4
+on whole runs: a single corrupted role is never enough to omit the
+victim — the fallback path (honest collector) or the indivisible parent
+aggregate (honest parent) always re-adds it — while a coalition holding
+both roles succeeds.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.aggregation.messages import SecondChanceReply
 from repro.aggregation.tree_agg import signers_of
 from repro.consensus.block import Block
 from repro.core.iniva import InivaAggregator
 
-__all__ = ["OmittingInivaAggregator", "corrupt_replica", "corrupt_replicas"]
+__all__ = ["OmittingInivaAggregator", "corrupt_replica"]
 
 
 class OmittingInivaAggregator(InivaAggregator):
@@ -43,7 +45,8 @@ class OmittingInivaAggregator(InivaAggregator):
     """
 
     # Deliberately NOT added to the aggregator registry: experiment configs
-    # cannot select it by name, it is attached explicitly by `corrupt_replicas`.
+    # cannot select it by name; a plan's attackers get it from the fault
+    # driver, through `corrupt_replica`.
     name = "byzantine-omitting-iniva"
 
     def __init__(self, replica, victim: int) -> None:
@@ -107,11 +110,3 @@ def corrupt_replica(replica, victim: int) -> None:
         raise ValueError("the victim cannot be one of the attacker processes")
     replica.aggregator = OmittingInivaAggregator(replica, victim=victim)
 
-
-def corrupt_replicas(deployment, attacker_ids: Iterable[int], victim: int) -> None:
-    """Replace the aggregators of ``attacker_ids`` with omission attackers.
-
-    Must be called before ``deployment.start()``; see :func:`corrupt_replica`.
-    """
-    for process_id in attacker_ids:
-        corrupt_replica(deployment.replicas[process_id], victim)

@@ -1,14 +1,13 @@
 """The chaos plan: one scenario's faults and shaping, ready to execute.
 
-:func:`compile_chaos_plan` distils a :class:`CompiledScenario` into the
-flat, substrate-agnostic schedule a live fault driver needs: which
-process crashes (and restarts) when, the timed partition events, the
-Byzantine coalition and its victim, and the link-shaping parameters.
-Everything is already resolved by :func:`repro.scenarios.engine.compile_scenario`
-— the crash draw, the attacker draw and the timers all derive from the
-spec seed — so the plan is deterministic: the same spec + seed yields the
-same plan in every process of a cluster, which is what lets worker
-subprocesses shape their own links without coordination.
+:func:`repro.scenarios.engine.compile_scenario` resolves a spec into a
+:class:`ChaosPlan` — the flat, runtime-agnostic schedule a fault driver
+executes: which process crashes (and restarts) when, the timed partition
+events, the Byzantine coalition and its victim, and the link-shaping
+parameters.  The crash draw, the attacker draw and the timers all derive
+from the spec seed, so the same spec + seed yields the same plan in every
+process of a cluster, which is what lets worker subprocesses shape their
+own links without coordination.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.scenarios.engine import CompiledScenario
 from repro.simnet.failures import PartitionEvent
 from repro.simnet.latency import LatencyModel
 
-__all__ = ["ChaosPlan", "compile_chaos_plan"]
+__all__ = ["ChaosPlan"]
 
 
 @dataclass(frozen=True)
@@ -29,8 +27,10 @@ class ChaosPlan:
 
     Attributes:
         seed: The scenario seed (shaping RNGs derive per-node seeds from it).
-        crashes: ``process id -> crash time`` (seconds since protocol start).
-        restarts: ``process id -> restart time`` for crash-restart churn.
+        crashes: ``process id -> crash time`` (seconds since protocol start),
+            in the order the crash draw picked the processes.
+        restarts: ``process id -> restart time`` for crash-restart churn;
+            every restarting process must crash first.
         partitions: Timed partition events, applied as reference-counted
             outbound link suppression at every sender.
         attackers: The Byzantine omission coalition (empty = no attack).
@@ -51,6 +51,14 @@ class ChaosPlan:
     latency_model: Optional[LatencyModel] = None
     bandwidth_bytes_per_sec: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for pid, restart_time in self.restarts.items():
+            crash_time = self.crashes.get(pid)
+            if crash_time is None:
+                raise ValueError(f"process {pid} restarts but never crashes")
+            if restart_time <= crash_time:
+                raise ValueError(f"process {pid} restarts before it crashes")
+
     @property
     def shapes_traffic(self) -> bool:
         """Whether any outbound message needs the shaping pipeline."""
@@ -59,33 +67,3 @@ class ChaosPlan:
             or self.loss_probability > 0
             or self.bandwidth_bytes_per_sec is not None
         )
-
-    @property
-    def has_scheduled_faults(self) -> bool:
-        """Whether any timer-driven fault (crash/restart/partition) exists."""
-        return bool(self.crashes or self.restarts or self.partitions)
-
-    @property
-    def is_adversarial(self) -> bool:
-        return bool(self.attackers)
-
-
-def compile_chaos_plan(compiled: CompiledScenario) -> ChaosPlan:
-    """The chaos plan of one compiled scenario (shared by every node)."""
-    spec = compiled.spec
-    crashes: Dict[int, float] = {}
-    restarts: Dict[int, float] = {}
-    if compiled.failure_plan is not None:
-        crashes = dict(compiled.failure_plan.crashes)
-        restarts = dict(compiled.failure_plan.restarts)
-    return ChaosPlan(
-        seed=spec.seed,
-        crashes=crashes,
-        restarts=restarts,
-        partitions=tuple(spec.faults.partitions),
-        attackers=tuple(compiled.attacker_ids),
-        victim=spec.attack.victim if compiled.attacker_ids else None,
-        loss_probability=compiled.loss_probability,
-        latency_model=compiled.latency_model,
-        bandwidth_bytes_per_sec=spec.topology.bandwidth_bytes_per_sec,
-    )

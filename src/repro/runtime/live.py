@@ -46,8 +46,9 @@ finalizes the same block ids under sim and live (pinned by
 ``tests/runtime/test_equivalence.py``).
 
 Chaos: every node carries a :class:`~repro.chaos.driver.ChaosDriver`
-compiled from the same spec the simulator consumes (see
-:mod:`repro.chaos`).  Outbound frames pass a per-link shaping pipeline
+for the compiled spec's :class:`~repro.chaos.plan.ChaosPlan` — the same
+executor the simulator attaches to its replicas (see :mod:`repro.chaos`).
+Outbound frames pass the node's :class:`~repro.chaos.shaping.LinkShaper`
 (topology-model latency, probabilistic loss, FIFO bandwidth queuing)
 *before* the fabric dispatches them, so shaping and partitions behave
 identically on the fast path and the TCP path; timed partitions suppress
@@ -86,7 +87,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chaos.driver import ChaosDriver
-from repro.chaos.plan import ChaosPlan, compile_chaos_plan
+from repro.chaos.shaping import LinkShaper
 from repro.clients.messages import ClientReject, ClientReply, ClientRequest
 from repro.clients.stats import LatencyDigest
 from repro.clients.swarm import ClientSwarm, merge_summaries
@@ -285,7 +286,6 @@ class LiveNode:
         committee: Committee,
         epoch: float,
         host: str = "127.0.0.1",
-        plan: "Optional[ChaosPlan]" = None,
     ) -> None:
         self.pid = pid
         self.compiled = compiled
@@ -359,12 +359,27 @@ class LiveNode:
             window=self.resilience.detector_window,
             bootstrap_interval=self.resilience.heartbeat_interval,
         )
-        # The chaos layer: traffic shaping + scheduled faults + attacker
-        # corruption, all derived deterministically from the spec seed
-        # (corruption happens here, before the replica ever starts).  The
-        # cluster compiles one plan and shares it across its nodes; a
-        # bare node (tests) compiles its own.
-        self.chaos = ChaosDriver(self, plan if plan is not None else compile_chaos_plan(compiled))
+        # The chaos layer: scheduled faults + attacker corruption (the
+        # driver the simulator runs too; corruption happens here, before
+        # the replica ever starts) and this node's traffic shaping, all
+        # derived deterministically from the spec seed.
+        plan = compiled.plan
+        self.chaos = ChaosDriver(
+            self.replica,
+            config.committee_size,
+            plan,
+            crash=self.crash_replica,
+            recover=self.recover_replica,
+        )
+        self.shaper: Optional[LinkShaper] = None
+        if plan.shapes_traffic:
+            self.shaper = LinkShaper(
+                pid=pid,
+                latency_model=plan.latency_model,
+                loss_probability=plan.loss_probability,
+                bandwidth_bytes_per_sec=plan.bandwidth_bytes_per_sec,
+                seed=plan.seed,
+            )
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -396,7 +411,7 @@ class LiveNode:
             self.counters["messages_dropped"] += 1
             self.messages_blocked += 1
             return
-        shaper = self.chaos.shaper
+        shaper = self.shaper
         if shaper is None:
             self._enqueue(dst, message)
             return
@@ -1081,7 +1096,6 @@ class LiveCluster:
         committee = Committee(
             run_scheme(self.compiled.config.signature_scheme), size, seed=self.compiled.config.seed
         )
-        plan = compile_chaos_plan(self.compiled)
         # One worker hosting the whole committee: zero inter-replica TCP
         # when the fast path is on; with it off, one loopback session to
         # the fabric's own server carries everything (the parity shape).
@@ -1091,7 +1105,7 @@ class LiveCluster:
         )
         for pid in range(size):
             fabric.add_node(
-                LiveNode(pid, self.compiled, committee, time.time(), host=self.host, plan=plan)
+                LiveNode(pid, self.compiled, committee, time.time(), host=self.host)
             )
         port = await fabric.serve()
         fabric.set_worker_addresses({0: (self.host, port)})

@@ -51,7 +51,6 @@ import sys
 import time
 from typing import IO, Any, Dict
 
-from repro.chaos.plan import compile_chaos_plan
 from repro.crypto.keys import Committee
 from repro.crypto.multisig import run_scheme
 from repro.observe.logging_setup import configure_logging
@@ -80,7 +79,6 @@ async def _run_nodes(config: Dict[str, Any], stdin: IO[str], stdout: IO[str]) ->
         compiled.config.committee_size,
         seed=compiled.config.seed,
     )
-    plan = compile_chaos_plan(compiled)
     fabric = WorkerFabric(
         worker,
         placement,
@@ -89,7 +87,7 @@ async def _run_nodes(config: Dict[str, Any], stdin: IO[str], stdout: IO[str]) ->
         fast_path=bool(config.get("fast_path", True)),
     )
     for pid in placement.pids_of(worker):
-        fabric.add_node(LiveNode(pid, compiled, committee, time.time(), host=host, plan=plan))
+        fabric.add_node(LiveNode(pid, compiled, committee, time.time(), host=host))
     await fabric.serve(port=ports[worker])
     fabric.set_worker_addresses({w: (host, port) for w, port in ports.items()})
     # The shared readiness + start + poll + stop lifecycle (same code path

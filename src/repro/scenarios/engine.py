@@ -1,10 +1,11 @@
 """Compile and run declarative scenarios.
 
 :func:`compile_scenario` turns a :class:`ScenarioSpec` into the concrete
-ingredients of a simulator run — a :class:`ConsensusConfig`, a latency
-model, a per-link bandwidth model, a crash plan, partition schedules and
-the attacker coalition — and :func:`run_scenario` executes it through
-:mod:`repro.experiments.runner`.
+ingredients of a run — a :class:`ConsensusConfig`, a latency model and
+the :class:`~repro.chaos.plan.ChaosPlan` (crash draw, partition schedule,
+attacker coalition, link shaping) — and :func:`run_scenario` executes it
+through :mod:`repro.experiments.runner`, with the plan's faults armed by
+:func:`attach_chaos`.
 
 Everything is seeded from the spec, so a fixed spec produces identical
 finalized-view metrics on every run.
@@ -15,21 +16,21 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace as dataclass_replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.attacks.byzantine import corrupt_replicas
+from repro.chaos import ChaosDriver, ChaosPlan
 from repro.consensus.config import ConsensusConfig
 from repro.experiments.runner import build_deployment, summarise
 from repro.experiments.workloads import ClientWorkload
 from repro.results import RunResult
 from repro.scenarios.spec import ScenarioSpec, TopologySpec
-from repro.simnet.failures import FailureInjector, FailurePlan
 from repro.simnet.latency import (
     ConstantLatency,
     LatencyModel,
     LinkBandwidth,
     NormalLatency,
 )
+from repro.simnet.network import Network
 from repro.simnet.topology import (
     WAN_REGION_MATRIX,  # noqa: F401  (canonical home: repro.simnet.topology)
     MatrixLatency,
@@ -40,6 +41,7 @@ from repro.simnet.topology import (
 __all__ = [
     "CompiledScenario",
     "WAN_REGION_MATRIX",
+    "attach_chaos",
     "build_latency_model",
     "build_scenario_deployment",
     "compile_scenario",
@@ -93,9 +95,11 @@ class CompiledScenario:
     spec: ScenarioSpec
     config: ConsensusConfig
     latency_model: LatencyModel
-    loss_probability: float
-    failure_plan: Optional[FailurePlan]
-    attacker_ids: Tuple[int, ...]
+    plan: ChaosPlan
+
+    @property
+    def attacker_ids(self) -> Tuple[int, ...]:
+        return self.plan.attackers
 
     def link_bandwidth(self) -> Optional[LinkBandwidth]:
         """A fresh (queue-empty) bandwidth model for one run."""
@@ -160,45 +164,81 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         attacker_ids = tuple(sorted(rng.sample(candidates, spec.attack.attackers)))
         protected |= set(attacker_ids)
 
-    failure_plan = None
+    crashes: Dict[int, float] = {}
+    restarts: Dict[int, float] = {}
     if spec.faults.crashes:
         crash_seed = (
             spec.faults.crash_seed if spec.faults.crash_seed is not None else spec.seed
         )
-        failure_plan = FailurePlan.random_crashes(
-            committee_size=size,
-            count=spec.faults.crashes,
-            seed=crash_seed,
-            at_time=spec.faults.crash_at,
-            exclude=sorted(protected),
-            restart_at=spec.faults.restart_at,
-        )
+        rng = random.Random(crash_seed)
+        candidates = [pid for pid in range(size) if pid not in protected]
+        if spec.faults.crashes > len(candidates):
+            raise ValueError("cannot crash more processes than are available")
+        # The plan keeps the draw order: the sim arms drivers in it, so
+        # faults due at one instant fire in that order.
+        chosen = rng.sample(candidates, spec.faults.crashes)
+        crashes = {pid: spec.faults.crash_at for pid in chosen}
+        if spec.faults.restart_at is not None:
+            restarts = {pid: spec.faults.restart_at for pid in chosen}
 
     return CompiledScenario(
         spec=spec,
         config=config,
         latency_model=latency_model,
-        loss_probability=spec.topology.loss_probability,
-        failure_plan=failure_plan,
-        attacker_ids=attacker_ids,
+        plan=ChaosPlan(
+            seed=spec.seed,
+            crashes=crashes,
+            restarts=restarts,
+            partitions=tuple(spec.faults.partitions),
+            attackers=attacker_ids,
+            victim=victim if attacker_ids else None,
+            loss_probability=spec.topology.loss_probability,
+            latency_model=latency_model,
+            bandwidth_bytes_per_sec=spec.topology.bandwidth_bytes_per_sec,
+        ),
     )
 
 
+def attach_chaos(replicas: Sequence, network: Network, plan: ChaosPlan) -> Dict[int, ChaosDriver]:
+    """Attach one armed :class:`ChaosDriver` to every replica of a sim run.
+
+    Call it before the replicas start: the driver swaps an attacker's
+    aggregator at construction and applies a fault already due inside
+    ``arm()``.  Replicas in ``plan.crashes`` are armed first, in the crash
+    draw's order, so restarts due at the same instant fire in that order
+    (each recovery draws from the network RNG).  ``network`` asks the
+    drivers for cut links only when the plan has a partition.
+    """
+    order = list(plan.crashes) + [pid for pid in range(len(replicas)) if pid not in plan.crashes]
+    drivers: Dict[int, ChaosDriver] = {}
+    for pid in order:
+        replica = replicas[pid]
+        driver = drivers[pid] = ChaosDriver(
+            replica, len(replicas), plan, crash=replica.crash, recover=replica.recover
+        )
+        driver.arm()
+    if plan.partitions:
+        network.link_faults = drivers
+    return drivers
+
+
 def build_scenario_deployment(compiled: CompiledScenario, runtime: str = "sim"):
-    """Wire the run's deployment: workload attached, faults scheduled.
+    """Wire the run's deployment: workload attached, faults armed.
 
     This is the single spec→deployment path — :func:`run_scenario` calls
     it, and :func:`repro.api.deploy` exposes it to callers
     that need the live :class:`Deployment` (custom drop rules, QC
     audits) rather than just the summarised metrics.
 
-    ``runtime`` selects the substrate: ``"sim"`` (default) returns the
-    fully wired simulator :class:`Deployment`; ``"live"`` returns a
+    ``runtime`` selects the substrate.  ``"sim"`` (default) returns the
+    fully wired simulator :class:`Deployment`: after the workload is
+    attached, :func:`attach_chaos` gives every replica an armed
+    :class:`~repro.chaos.driver.ChaosDriver` for the plan's crashes,
+    restarts, partitions and cartel.  ``"live"`` returns a
     not-yet-started :class:`~repro.runtime.live.LiveCluster` that runs
-    the same spec as an asyncio TCP cluster — with the chaos layer
-    (:mod:`repro.chaos`) translating the spec's topology shaping,
-    partitions, crash/restart churn and Byzantine cartel onto the live
-    transport.
+    the same spec as an asyncio TCP cluster, where each
+    :class:`~repro.runtime.live.LiveNode` arms the same driver and also
+    shapes its links to the spec's topology.
     """
     if runtime == "live":
         # Imported lazily: repro.runtime.live imports this module.
@@ -213,7 +253,7 @@ def build_scenario_deployment(compiled: CompiledScenario, runtime: str = "sim"):
         config,
         warmup=min(spec.warmup, spec.duration / 4),
         latency_model=compiled.latency_model,
-        loss_probability=compiled.loss_probability,
+        loss_probability=compiled.plan.loss_probability,
         link_bandwidth=compiled.link_bandwidth(),
     )
     if spec.observe.enabled:
@@ -244,12 +284,7 @@ def build_scenario_deployment(compiled: CompiledScenario, runtime: str = "sim"):
     else:
         workload.attach(deployment.simulator, deployment.mempool, spec.duration)
 
-    injector = FailureInjector(deployment.simulator, deployment.network)
-    if compiled.failure_plan is not None:
-        injector.apply(compiled.failure_plan)
-    injector.schedule_partitions(spec.faults.partitions)
-    if compiled.attacker_ids:
-        corrupt_replicas(deployment, compiled.attacker_ids, spec.attack.victim)
+    attach_chaos(deployment.replicas, deployment.network, compiled.plan)
     return deployment
 
 

@@ -8,10 +8,11 @@ simulator with
 * message-passing processes with timers and a single-core CPU model
   (:mod:`repro.simnet.process`),
 * a network with configurable latency distributions, bandwidth cost,
-  message loss and partitions (:mod:`repro.simnet.network`,
+  message loss and drop rules (:mod:`repro.simnet.network`,
   :mod:`repro.simnet.latency`, :mod:`repro.simnet.topology`),
-* fault injection (crash and message-drop schedules,
-  :mod:`repro.simnet.failures`), and
+* the timed partition description (:mod:`repro.simnet.failures`); the
+  faults themselves are scheduled by :mod:`repro.chaos`, the executor
+  the live runtime uses too, and
 * metric collection (throughput, latency percentiles, CPU utilisation,
   message/byte counters, :mod:`repro.simnet.metrics`).
 
@@ -29,7 +30,7 @@ from repro.simnet.latency import (
 from repro.simnet.metrics import MetricsCollector
 from repro.simnet.network import Network
 from repro.simnet.process import CpuCostModel, Process, Timer
-from repro.simnet.failures import FailureInjector, FailurePlan, PartitionEvent
+from repro.simnet.failures import PartitionEvent
 from repro.simnet.topology import MatrixLatency, RackTopologyLatency, RegionMatrixLatency
 
 __all__ = [
@@ -37,8 +38,6 @@ __all__ = [
     "CpuCostModel",
     "EventHandle",
     "EventQueue",
-    "FailureInjector",
-    "FailurePlan",
     "LatencyModel",
     "LinkBandwidth",
     "MatrixLatency",

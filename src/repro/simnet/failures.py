@@ -1,23 +1,20 @@
-"""Fault injection: crash schedules and targeted message suppression.
+"""Timed network partitions: the one description both runtimes execute.
 
-The resiliency evaluation (Figure 4) crashes up to ``f`` replicas that are
-then randomly placed in the aggregation tree each view; the security
-analysis additionally needs Byzantine behaviours, which are implemented as
-protocol-level strategy objects (see :mod:`repro.attacks`) rather than
-here — this module only provides the *mechanics* of failing processes and
-links.
+A :class:`PartitionEvent` says which processes can still talk to each
+other between two instants.  It carries no mechanics of its own: the
+fault executor of both runtimes (:class:`repro.chaos.driver.ChaosDriver`)
+reads its :meth:`PartitionEvent.severs` predicate and suppresses each
+sender's crossing links from ``at`` to ``heal_at``.  Crashes, restarts and
+the Byzantine cartel are scheduled by the same driver from a
+:class:`repro.chaos.plan.ChaosPlan`.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
-from repro.simnet.events import Simulator
-from repro.simnet.network import Network
-
-__all__ = ["FailurePlan", "FailureInjector", "PartitionEvent"]
+__all__ = ["PartitionEvent"]
 
 
 @dataclass(frozen=True)
@@ -25,12 +22,13 @@ class PartitionEvent:
     """A timed network partition with an optional heal time.
 
     Attributes:
-        at: Virtual time the partition takes effect.
+        at: Time the partition takes effect.
         groups: The connectivity components; messages only flow within a
             group while the partition is active.  Processes not listed in
-            any group are isolated from everyone.
-        heal_at: Virtual time the partition heals (all links restored);
-            ``None`` means it never heals.
+            any group are isolated from everyone.  A process may be listed
+            once only.
+        heal_at: Time the partition heals (all links restored); ``None``
+            means it never heals.
     """
 
     at: float
@@ -46,6 +44,11 @@ class PartitionEvent:
             raise ValueError("a partition needs at least one group")
         # Normalise to hashable tuples so specs stay frozen/comparable.
         object.__setattr__(self, "groups", tuple(tuple(group) for group in self.groups))
+        listed: Set[int] = set()
+        for pid in (pid for group in self.groups for pid in group):
+            if pid in listed:
+                raise ValueError(f"process {pid} is listed twice in the partition groups")
+            listed.add(pid)
 
     def scaled(self, factor: float) -> "PartitionEvent":
         """The same partition with both times scaled (for --quick runs)."""
@@ -64,11 +67,8 @@ class PartitionEvent:
     def severs(self, src: int, dst: int, group_of: Optional[Dict[int, int]] = None) -> bool:
         """Whether this partition cuts the directed link ``src -> dst``.
 
-        The single crossing predicate shared by the simulated network's
-        :meth:`FailureInjector.schedule_partition` and the live chaos
-        driver, so the two substrates cannot drift: messages flow only
-        within a group, and processes not listed in any group are
-        isolated from everyone (never from themselves).
+        Messages flow only within a group, and processes not listed in any
+        group are isolated from everyone (never from themselves).
         """
         if src == dst:
             return False
@@ -77,142 +77,3 @@ class PartitionEvent:
         return not (
             src in group_of and dst in group_of and group_of[src] == group_of[dst]
         )
-
-
-@dataclass(frozen=True)
-class FailurePlan:
-    """A declarative description of which processes crash (and restart) when.
-
-    Attributes:
-        crashes: Mapping ``process id -> crash time`` (seconds of virtual
-            time).  A time of ``0.0`` means crashed from the start.
-        restarts: Mapping ``process id -> restart time`` for crash-restart
-            churn; a process listed here recovers (keeping its pre-crash
-            state, losing every message sent meanwhile) at that time.
-    """
-
-    crashes: Dict[int, float] = field(default_factory=dict)
-    restarts: Dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for pid, restart_time in self.restarts.items():
-            crash_time = self.crashes.get(pid)
-            if crash_time is None:
-                raise ValueError(f"process {pid} restarts but never crashes")
-            if restart_time <= crash_time:
-                raise ValueError(f"process {pid} restarts before it crashes")
-
-    @classmethod
-    def crash_from_start(cls, process_ids: Iterable[int]) -> "FailurePlan":
-        return cls(crashes={pid: 0.0 for pid in process_ids})
-
-    @classmethod
-    def random_crashes(
-        cls,
-        committee_size: int,
-        count: int,
-        seed: int = 0,
-        at_time: float = 0.0,
-        exclude: Sequence[int] = (),
-        restart_at: Optional[float] = None,
-    ) -> "FailurePlan":
-        """Crash ``count`` random processes (excluding ``exclude``) at ``at_time``.
-
-        With ``restart_at`` the crashed cohort recovers at that time
-        (crash-restart churn instead of permanent crash-stop).
-        """
-        rng = random.Random(seed)
-        candidates = [pid for pid in range(committee_size) if pid not in set(exclude)]
-        if count > len(candidates):
-            raise ValueError("cannot crash more processes than are available")
-        chosen = rng.sample(candidates, count)
-        restarts = {} if restart_at is None else {pid: restart_at for pid in chosen}
-        return cls(crashes={pid: at_time for pid in chosen}, restarts=restarts)
-
-    @property
-    def faulty_ids(self) -> List[int]:
-        return sorted(self.crashes)
-
-    def __len__(self) -> int:
-        return len(self.crashes)
-
-
-class FailureInjector:
-    """Applies a :class:`FailurePlan` to a running simulation."""
-
-    def __init__(self, simulator: Simulator, network: Network) -> None:
-        self.simulator = simulator
-        self.network = network
-        self._applied: List[int] = []
-
-    def apply(self, plan: FailurePlan) -> None:
-        """Schedule every crash (and restart) in ``plan``."""
-        for process_id, crash_time in plan.crashes.items():
-            if crash_time <= self.simulator.now:
-                self._crash_now(process_id)
-            else:
-                self.simulator.schedule_at(crash_time, self._crash_now, process_id)
-        for process_id, restart_time in plan.restarts.items():
-            self.simulator.schedule_at(restart_time, self._restart_now, process_id)
-
-    def _crash_now(self, process_id: int) -> None:
-        process = self.network.process(process_id)
-        if not process.crashed:
-            process.crash()
-            self._applied.append(process_id)
-
-    def _restart_now(self, process_id: int) -> None:
-        self.network.process(process_id).recover()
-
-    # -- partitions -----------------------------------------------------------
-    def schedule_partition(self, event: PartitionEvent) -> None:
-        """Schedule a partition (and its heal) as link-level suppression.
-
-        At ``event.at`` every directed link crossing a group boundary is
-        blocked on the network; at ``event.heal_at`` exactly those links
-        are unblocked again, so overlapping partitions compose without
-        clobbering each other's state.
-        """
-        blocked: Set[Tuple[int, int]] = set()
-
-        def apply() -> None:
-            group_of = event.group_map()
-            for src in self.network.process_ids:
-                for dst in self.network.process_ids:
-                    if event.severs(src, dst, group_of):
-                        self.network.block_link(src, dst, bidirectional=False)
-                        blocked.add((src, dst))
-
-        def heal() -> None:
-            for src, dst in blocked:
-                self.network.unblock_link(src, dst, bidirectional=False)
-            blocked.clear()
-
-        if event.heal_at is not None and event.heal_at <= self.simulator.now:
-            return  # already healed before it could take effect
-        if event.at <= self.simulator.now:
-            apply()
-        else:
-            self.simulator.schedule_at(event.at, apply)
-        if event.heal_at is not None:
-            self.simulator.schedule_at(event.heal_at, heal)
-
-    def schedule_partitions(self, events: Iterable[PartitionEvent]) -> None:
-        for event in events:
-            self.schedule_partition(event)
-
-    def crash_link(self, src: int, dst: int, bidirectional: bool = True) -> None:
-        """Permanently drop all messages on a link (models a broken cable)."""
-
-        def rule(message_src: int, message_dst: int, _message) -> bool:
-            if message_src == src and message_dst == dst:
-                return True
-            if bidirectional and message_src == dst and message_dst == src:
-                return True
-            return False
-
-        self.network.add_drop_rule(rule)
-
-    @property
-    def crashed_processes(self) -> List[int]:
-        return sorted(self._applied)

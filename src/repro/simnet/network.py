@@ -1,15 +1,17 @@
 """The simulated network connecting processes.
 
 Supports per-link latency sampling, bandwidth-proportional transmission
-delay, probabilistic message loss, explicit drop rules (used by Byzantine
-scenarios) and partitions.  All randomness is drawn from a seeded RNG so
-experiments are reproducible.
+delay, probabilistic message loss, explicit drop rules and partitions.
+Partitions are not state of the network: each sender's fault driver
+(:class:`repro.chaos.driver.ChaosDriver`) holds its cut links, and the
+network asks it before sending.  All randomness is drawn from a seeded
+RNG so experiments are reproducible.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.simnet.events import Simulator
 from repro.simnet.latency import ConstantLatency, LatencyModel, LinkBandwidth
@@ -42,11 +44,10 @@ class Network:
         self.link_bandwidth = link_bandwidth
         self._processes: Dict[int, Process] = {}
         self._drop_rules: list[DropRule] = []
-        self._partitions: list[Set[int]] = []
-        # Directed links currently suppressed (network partitions, cuts),
-        # reference-counted so overlapping partitions compose: healing one
-        # must not restore a link another still blocks.
-        self._blocked_links: Dict[Tuple[int, int], int] = {}
+        # Sender pid -> its fault driver (anything with ``blocked(dst)``),
+        # set only when the run's plan has a partition; ``None`` keeps the
+        # send path free of any per-message lookup.
+        self.link_faults: Optional[Dict[int, Any]] = None
         # Counters for the evaluation harness.
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -77,50 +78,13 @@ class Network:
     def process_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self._processes))
 
-    # -- failure / partition configuration --------------------------------------
+    # -- drop rules ---------------------------------------------------------------
     def add_drop_rule(self, rule: DropRule) -> None:
         """Drop messages for which ``rule(src, dst, message)`` returns True."""
         self._drop_rules.append(rule)
 
     def clear_drop_rules(self) -> None:
         self._drop_rules.clear()
-
-    def partition(self, groups: Iterable[Iterable[int]]) -> None:
-        """Partition the network; messages only flow within a group."""
-        self._partitions = [set(group) for group in groups]
-
-    def heal_partition(self) -> None:
-        self._partitions = []
-
-    def block_link(self, src: int, dst: int, bidirectional: bool = True) -> None:
-        """Suppress delivery on a directed link until :meth:`unblock_link`.
-
-        Unlike :meth:`add_drop_rule` (permanent, rule-based) this is cheap
-        to add *and remove*, which is what timed partitions with heal
-        schedules need (see :meth:`FailureInjector.schedule_partition`).
-        """
-        for link in ((src, dst), (dst, src)) if bidirectional else ((src, dst),):
-            self._blocked_links[link] = self._blocked_links.get(link, 0) + 1
-
-    def unblock_link(self, src: int, dst: int, bidirectional: bool = True) -> None:
-        for link in ((src, dst), (dst, src)) if bidirectional else ((src, dst),):
-            count = self._blocked_links.get(link, 0)
-            if count <= 1:
-                self._blocked_links.pop(link, None)
-            else:
-                self._blocked_links[link] = count - 1
-
-    @property
-    def blocked_links(self) -> Set[Tuple[int, int]]:
-        return set(self._blocked_links)
-
-    def _partitioned(self, src: int, dst: int) -> bool:
-        if not self._partitions:
-            return False
-        for group in self._partitions:
-            if src in group and dst in group:
-                return False
-        return True
 
     # -- transport ----------------------------------------------------------------
     def send(self, src: int, dst: int, message: Any, size_bytes: int = 0) -> None:
@@ -139,10 +103,10 @@ class Network:
         # live runtime, whose self-sends bypass the chaos pipeline.
         # (Delivery still goes through the event queue: never re-entrant.)
         if src != dst:
-            # Fault-free fast path: with no partition, cut link or drop
-            # rule configured there is nothing to check.
-            if self._partitions or self._blocked_links or self._drop_rules:
-                if self._partitioned(src, dst) or (src, dst) in self._blocked_links:
+            # Fault-free fast path: with no partition or drop rule
+            # configured there is nothing to check.
+            if self.link_faults or self._drop_rules:
+                if self.link_faults and self.link_faults[src].blocked(dst):
                     self.messages_blocked += 1
                     self._count_drop(src)
                     return

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro import api
+from repro.chaos import ChaosPlan
 from repro.consensus.config import ConsensusConfig
 from repro.experiments import specs
 from repro.experiments.runner import build_deployment, summarise
-from repro.simnet.failures import FailureInjector, FailurePlan
+from repro.scenarios.engine import attach_chaos
 
 
 def _spec(aggregation: str, duration: float = 1.0, view_timeout: float = 0.1, **scheme_params):
@@ -35,8 +36,10 @@ def _run(aggregation: str, duration: float = 1.0, **scheme_params):
 def _run_crashing(spec, pids):
     """Run ``spec`` with the replicas ``pids`` crashed from the start."""
     deployment = api.deploy(spec)
-    FailureInjector(deployment.simulator, deployment.network).apply(
-        FailurePlan.crash_from_start(pids)
+    attach_chaos(
+        deployment.replicas,
+        deployment.network,
+        ChaosPlan(seed=0, crashes=dict.fromkeys(pids, 0.0)),
     )
     deployment.start()
     deployment.simulator.run(until=spec.duration)

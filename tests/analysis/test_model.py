@@ -100,6 +100,19 @@ def test_leader_never_forfeits_more_than_its_bonus(leader_omission):
     assert -outcome.net_gain == pytest.approx(0.15 - 0.1 * (0.15 + (0.02 + 0.83) / 3))
 
 
+@pytest.mark.parametrize("vote_denial", [0.5, 1.0])
+def test_vote_denial_never_redistributes_more_than_the_leader_bonus(vote_denial):
+    """Denying more than ``f·n`` votes carries at most the whole bonus: ``e_v`` is clamped at ``f``."""
+    params = RewardParams(leader_bonus=0.15, aggregation_bonus=0.02)
+    outcome = deviation_outcome(Strategy(vote_denial=vote_denial), 0.1, params)
+    reward = params.total_reward
+    leader_bonus_share = outcome.redistributed - vote_denial * (
+        params.aggregation_bonus + params.voting_fraction
+    ) * reward
+    assert leader_bonus_share <= params.leader_bonus * reward + 1e-12
+    assert outcome.redistributed == pytest.approx(0.15 + vote_denial * (0.02 + 0.83))
+
+
 @pytest.mark.parametrize("m", [0.0, 0.5, 0.6, -0.1])
 def test_section_vi_requires_a_minority_attacker(m):
     with pytest.raises(ValueError):

@@ -12,11 +12,12 @@ from repro.analysis.properties import (
     check_no_forks,
     check_reliable_dissemination,
 )
+from repro.chaos import ChaosPlan
 from repro.consensus.config import ConsensusConfig
 from repro.crypto.multisig import AggregateSignature
 from repro.experiments.runner import build_deployment
 from repro.experiments.workloads import ClientWorkload
-from repro.simnet.failures import FailureInjector, FailurePlan
+from repro.scenarios.engine import attach_chaos
 
 
 def _finished_deployment(aggregation="iniva", faults=(), duration=1.2, **overrides):
@@ -28,8 +29,10 @@ def _finished_deployment(aggregation="iniva", faults=(), duration=1.2, **overrid
         deployment.simulator, deployment.mempool, duration
     )
     if faults:
-        FailureInjector(deployment.simulator, deployment.network).apply(
-            FailurePlan.crash_from_start(faults)
+        attach_chaos(
+            deployment.replicas,
+            deployment.network,
+            ChaosPlan(seed=0, crashes=dict.fromkeys(faults, 0.0)),
         )
     deployment.start()
     deployment.simulator.run(until=duration)
@@ -85,8 +88,10 @@ def test_plain_tree_loses_votes_under_internal_crashes():
     ClientWorkload(rate=1_500, payload_size=32, seed=9).attach(
         deployment.simulator, deployment.mempool, 2.0
     )
-    FailureInjector(deployment.simulator, deployment.network).apply(
-        FailurePlan.crash_from_start([5])
+    attach_chaos(
+        deployment.replicas,
+        deployment.network,
+        ChaosPlan(seed=0, crashes={5: 0.0}),
     )
     deployment.start()
     deployment.simulator.run(until=2.0)

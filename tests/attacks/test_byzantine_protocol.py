@@ -1,7 +1,8 @@
 """End-to-end targeted vote-omission attacks against the live protocol.
 
-These tests corrupt aggregators inside real simulated deployments and
-check Theorem 4 at the protocol level: one corrupted role (parent *or*
+These tests corrupt aggregators inside real simulated deployments — a
+:class:`~repro.chaos.plan.ChaosPlan` names the coalition and the fault
+drivers swap their aggregators — and check Theorem 4 at the protocol level: one corrupted role (parent *or*
 collector) can never omit the victim — the fallback path or the
 indivisible parent aggregate re-adds it — while a coalition that holds
 both roles censors the victim whenever it sits in a leaf position.
@@ -9,13 +10,20 @@ both roles censors the victim whenever it sits in a leaf position.
 
 import pytest
 
-from repro.attacks.byzantine import OmittingInivaAggregator, corrupt_replicas
+from repro.attacks.byzantine import OmittingInivaAggregator
+from repro.chaos import ChaosPlan
 from repro.consensus.config import ConsensusConfig
 from repro.experiments.runner import build_deployment
 from repro.experiments.workloads import ClientWorkload
+from repro.scenarios.engine import attach_chaos
 
 COMMITTEE = 9
 VICTIM = 6
+
+
+def corrupt(deployment, attacker_ids, victim=VICTIM):
+    plan = ChaosPlan(seed=0, attackers=tuple(attacker_ids), victim=victim)
+    attach_chaos(deployment.replicas, deployment.network, plan)
 
 
 def run_with_attackers(attacker_ids, seed=31, duration=1.5):
@@ -24,7 +32,7 @@ def run_with_attackers(attacker_ids, seed=31, duration=1.5):
     ClientWorkload(rate=1500, payload_size=64, seed=5).attach(
         deployment.simulator, deployment.mempool, duration
     )
-    corrupt_replicas(deployment, attacker_ids, victim=VICTIM)
+    corrupt(deployment, attacker_ids)
     deployment.start()
     deployment.simulator.run(until=duration)
     return deployment
@@ -111,12 +119,12 @@ class TestAttackerConstruction:
         config = ConsensusConfig(committee_size=COMMITTEE, aggregation="iniva")
         deployment = build_deployment(config)
         with pytest.raises(ValueError):
-            corrupt_replicas(deployment, [VICTIM], victim=VICTIM)
+            corrupt(deployment, [VICTIM])
 
     def test_corrupted_replica_uses_byzantine_aggregator(self):
         config = ConsensusConfig(committee_size=COMMITTEE, aggregation="iniva")
         deployment = build_deployment(config)
-        corrupt_replicas(deployment, [1, 2], victim=VICTIM)
+        corrupt(deployment, [1, 2])
         assert isinstance(deployment.replicas[1].aggregator, OmittingInivaAggregator)
         assert deployment.replicas[1].aggregator.victim == VICTIM
         assert not isinstance(deployment.replicas[0].aggregator, OmittingInivaAggregator)

@@ -1,46 +1,51 @@
 """Chaos plans and the scheduled fault driver (no sockets involved).
 
-The driver is exercised against a stub node running on the deterministic
-sim runtime, so partition reference counting and crash/restart timing can
-be asserted exactly; the socket integration lives in
-``tests/runtime/test_live_chaos.py``.
+Drivers are attached with :func:`repro.scenarios.engine.attach_chaos`,
+the helper the simulator engine uses, to bare processes on the
+deterministic sim runtime, so partition reference counting and
+crash/restart timing can be asserted exactly; the socket integration
+lives in ``tests/runtime/test_live_chaos.py``.
 """
 
 from __future__ import annotations
 
-from repro.chaos import ChaosDriver, compile_chaos_plan
-from repro.chaos.plan import ChaosPlan
-from repro.scenarios.engine import compile_scenario
+from dataclasses import replace
+
+import pytest
+
+from repro.chaos import ChaosPlan
+from repro.scenarios.engine import attach_chaos, compile_scenario
 from repro.scenarios.presets import load_preset
 from repro.simnet.events import Simulator
 from repro.simnet.failures import PartitionEvent
 from repro.simnet.latency import ConstantLatency
+from repro.simnet.network import Network
+from repro.simnet.process import Process
 
 
 # ---------------------------------------------------------------------------
-# compile_chaos_plan
+# compile_scenario's plan
 # ---------------------------------------------------------------------------
 def test_plan_from_partition_preset():
-    plan = compile_chaos_plan(compile_scenario(load_preset("partition-heal")))
+    plan = compile_scenario(load_preset("partition-heal")).plan
     assert len(plan.partitions) == 1
     assert plan.partitions[0].heal_at is not None
-    assert plan.has_scheduled_faults
-    assert not plan.is_adversarial
+    assert not plan.crashes and not plan.attackers
     assert plan.shapes_traffic  # the latency model always shapes
 
 
 def test_plan_from_omission_preset_is_deterministic():
     compiled = compile_scenario(load_preset("omission-cartel"))
-    plan = compile_chaos_plan(compiled)
-    again = compile_chaos_plan(compile_scenario(load_preset("omission-cartel")))
+    plan = compiled.plan
+    again = compile_scenario(load_preset("omission-cartel")).plan
     assert plan.attackers == again.attackers == compiled.attacker_ids
+    assert len(plan.attackers) == 4
     assert plan.victim == 2
-    assert plan.is_adversarial
 
 
 def test_plan_carries_crash_restart_schedule():
     spec = load_preset("crash-storm").with_(faults={"restart_at": 3.5})
-    plan = compile_chaos_plan(compile_scenario(spec))
+    plan = compile_scenario(spec).plan
     assert len(plan.crashes) == 6
     assert set(plan.restarts) == set(plan.crashes)
     assert all(at == 3.5 for at in plan.restarts.values())
@@ -55,59 +60,39 @@ def test_quick_scales_restart_time():
 
 
 def test_loss_and_bandwidth_reach_the_plan():
-    plan = compile_chaos_plan(compile_scenario(load_preset("lossy-wan")))
+    plan = compile_scenario(load_preset("lossy-wan")).plan
     assert plan.loss_probability == 0.03
-    wan = compile_chaos_plan(compile_scenario(load_preset("wan-5-regions")))
+    wan = compile_scenario(load_preset("wan-5-regions")).plan
     assert wan.bandwidth_bytes_per_sec == 25_000_000.0
 
 
+def test_plan_refuses_a_restart_without_a_crash():
+    with pytest.raises(ValueError, match="never crashes"):
+        ChaosPlan(seed=1, restarts={3: 1.0})
+
+
+def test_plan_refuses_a_restart_before_its_crash():
+    with pytest.raises(ValueError, match="restarts before it crashes"):
+        ChaosPlan(seed=1, crashes={3: 1.0}, restarts={3: 1.0})
+    with pytest.raises(ValueError, match="restarts before it crashes"):
+        ChaosPlan(seed=1, crashes={3: 1.0}, restarts={3: 0.5})
+
+
 # ---------------------------------------------------------------------------
-# ChaosDriver against a stub node on a sim clock
+# ChaosDriver on bare processes over a sim clock
 # ---------------------------------------------------------------------------
-class _StubRuntime:
-    """Minimal runtime for the driver: sim clock + relative timers."""
-
-    def __init__(self) -> None:
-        self.simulator = Simulator()
-
-    @property
-    def now(self) -> float:
-        return self.simulator.now
-
-    def set_timer(self, delay, callback, *args):
-        return self.simulator.schedule(max(delay, 0.0), callback, *args)
+class _Idle(Process):
+    def on_message(self, sender, message) -> None:
+        pass
 
 
-class _StubReplica:
-    def __init__(self, pid: int) -> None:
-        self.process_id = pid
-        self.crashed = False
-        self.restarts = 0
-        self.aggregator = None
-
-    def crash(self) -> None:
-        self.crashed = True
-
-    def recover(self) -> None:
-        if self.crashed:
-            self.crashed = False
-            self.restarts += 1
-
-
-class _StubConfig:
-    committee_size = 6
-
-
-class _StubCompiled:
-    config = _StubConfig()
-
-
-class _StubNode:
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-        self.replica = _StubReplica(pid)
-        self.runtime = _StubRuntime()
-        self.compiled = _StubCompiled()
+def _attach(plan: ChaosPlan, size: int = 6, until: float = 0.0):
+    """``size`` idle processes with armed drivers; the clock is at ``until``."""
+    sim = Simulator()
+    network = Network(sim)
+    processes = [_Idle(pid, sim, network) for pid in range(size)]
+    sim.run(until=until)
+    return sim, processes, attach_chaos(processes, network, plan)
 
 
 def _plan(**overrides) -> ChaosPlan:
@@ -117,23 +102,27 @@ def _plan(**overrides) -> ChaosPlan:
 
 
 def test_driver_crash_and_restart_timers():
-    node = _StubNode(2)
-    driver = ChaosDriver(node, _plan(crashes={2: 0.5}, restarts={2: 1.0}))
-    driver.arm()
-    sim = node.runtime.simulator
+    sim, processes, _drivers = _attach(_plan(crashes={2: 0.5}, restarts={2: 1.0}))
     sim.run(until=0.6)
-    assert node.replica.crashed
+    assert processes[2].crashed
     sim.run(until=1.1)
-    assert not node.replica.crashed
-    assert node.replica.restarts == 1
+    assert not processes[2].crashed
+    assert processes[2].restarts == 1
+
+
+def test_driver_applies_a_fault_already_due_when_armed():
+    sim, processes, _drivers = _attach(_plan(crashes={1: 0.0, 4: 0.3}))
+    assert processes[1].crashed  # inside attach_chaos, not from a timer
+    assert not processes[4].crashed
+    sim.run(until=0.5)
+    assert processes[4].crashed
+    assert sim.events_processed == 1  # pid 4's crash timer only
 
 
 def test_driver_partition_blocks_only_crossing_links_then_heals():
-    node = _StubNode(0)
     event = PartitionEvent(at=1.0, heal_at=2.0, groups=((0, 1, 2), (3, 4)))
-    driver = ChaosDriver(node, _plan(partitions=(event,)))
-    driver.arm()
-    sim = node.runtime.simulator
+    sim, _processes, drivers = _attach(_plan(partitions=(event,)))
+    driver = drivers[0]
     assert not any(driver.blocked(dst) for dst in range(1, 6))
     sim.run(until=1.5)
     # Same group stays connected, other group and unlisted pid 5 are cut.
@@ -144,12 +133,10 @@ def test_driver_partition_blocks_only_crossing_links_then_heals():
 
 
 def test_overlapping_partitions_compose_with_reference_counts():
-    node = _StubNode(0)
     first = PartitionEvent(at=1.0, heal_at=3.0, groups=((0, 1), (2, 3, 4, 5)))
     second = PartitionEvent(at=1.5, heal_at=2.0, groups=((0, 2), (1, 3, 4, 5)))
-    driver = ChaosDriver(node, _plan(partitions=(first, second)))
-    driver.arm()
-    sim = node.runtime.simulator
+    sim, _processes, drivers = _attach(_plan(partitions=(first, second)))
+    driver = drivers[0]
     sim.run(until=1.7)
     # Both partitions cut 0->3; healing the second must not restore it.
     assert driver.blocked(3) and driver.blocked(1) and driver.blocked(2)
@@ -162,12 +149,9 @@ def test_overlapping_partitions_compose_with_reference_counts():
 
 
 def test_already_healed_partition_is_ignored():
-    node = _StubNode(0)
-    node.runtime.simulator.run(until=5.0)
     event = PartitionEvent(at=1.0, heal_at=2.0, groups=((0,), (1, 2, 3, 4, 5)))
-    driver = ChaosDriver(node, _plan(partitions=(event,)))
-    driver.arm()
-    assert not any(driver.blocked(dst) for dst in range(1, 6))
+    _sim, _processes, drivers = _attach(_plan(partitions=(event,)), until=5.0)
+    assert not any(drivers[0].blocked(dst) for dst in range(1, 6))
 
 
 def test_driver_corrupts_attacker_replicas():
@@ -179,7 +163,7 @@ def test_driver_corrupts_attacker_replicas():
     # aggregator wired in, aimed at the victim.
     spec = load_preset("omission-cartel").quick()
     cluster = LiveCluster(spec=spec)
-    plan = compile_chaos_plan(cluster.compiled)
+    plan = cluster.compiled.plan
     import asyncio
 
     async def build_nodes():
@@ -210,11 +194,17 @@ def test_driver_corrupts_attacker_replicas():
 
 
 def test_shaper_only_built_when_needed():
-    node = _StubNode(0)
-    bare = ChaosDriver(node, _plan())
-    assert bare.shaper is None
-    shaped = ChaosDriver(_StubNode(0), _plan(latency_model=ConstantLatency(0.001)))
-    assert shaped.shaper is not None
+    from repro.crypto import run_scheme
+    from repro.crypto.keys import Committee
+    from repro.runtime.live import LiveNode
+
+    compiled = compile_scenario(load_preset("rack-baseline").quick())
+    config = compiled.config
+    committee = Committee(run_scheme(config.signature_scheme), config.committee_size, seed=1)
+    bare = replace(compiled, plan=_plan())
+    assert LiveNode(0, bare, committee, epoch=0.0).shaper is None
+    shaped = replace(compiled, plan=_plan(latency_model=ConstantLatency(0.001)))
+    assert LiveNode(0, shaped, committee, epoch=0.0).shaper is not None
 
 
 def test_plan_compiles_for_every_builtin_preset():
@@ -224,6 +214,6 @@ def test_plan_compiles_for_every_builtin_preset():
     assert len(spec_names) == 9
     for name in spec_names:
         spec = load_preset(name)
-        plan = compile_chaos_plan(compile_scenario(spec))
+        plan = compile_scenario(spec).plan
         assert isinstance(plan, ChaosPlan)
         assert plan.seed == spec.seed

@@ -9,19 +9,20 @@ vote-inclusion behaviour of each scheme.
 import pytest
 
 from repro.aggregation.messages import SignatureMessage
+from repro.chaos import ChaosPlan
 from repro.consensus.config import ConsensusConfig
 from repro.experiments.runner import build_deployment, summarise
 from repro.experiments.workloads import ClientWorkload
-from repro.simnet.failures import FailureInjector, FailurePlan
+from repro.scenarios.engine import attach_chaos
 
 
-def run_deployment(config, duration=1.5, rate=2000, failure_plan=None, drop_rule=None):
+def run_deployment(config, duration=1.5, rate=2000, plan=None, drop_rule=None):
     deployment = build_deployment(config, warmup=0.2)
     ClientWorkload(rate=rate, payload_size=config.payload_size, seed=7).attach(
         deployment.simulator, deployment.mempool, duration
     )
-    if failure_plan is not None:
-        FailureInjector(deployment.simulator, deployment.network).apply(failure_plan)
+    if plan is not None:
+        attach_chaos(deployment.replicas, deployment.network, plan)
     if drop_rule is not None:
         deployment.network.add_drop_rule(drop_rule)
     deployment.start()
@@ -70,11 +71,11 @@ class TestInclusionBehaviour:
         assert result.average_qc_size == pytest.approx(9, abs=0.2)
 
     def test_iniva_beats_plain_tree_on_inclusion_under_faults(self):
-        plan = FailurePlan.crash_from_start([3])
+        plan = ChaosPlan(seed=0, crashes={3: 0.0})
         results = {}
         for scheme in ("tree", "iniva"):
             config = ConsensusConfig(committee_size=9, batch_size=20, aggregation=scheme, seed=6)
-            _deployment, result = run_deployment(config, failure_plan=plan)
+            _deployment, result = run_deployment(config, plan=plan)
             results[scheme] = result
         assert results["iniva"].average_qc_size >= results["tree"].average_qc_size
         # Iniva re-adds every correct process despite the crash.
@@ -82,8 +83,8 @@ class TestInclusionBehaviour:
 
     def test_iniva_uses_second_chance_under_faults(self):
         config = ConsensusConfig(committee_size=9, batch_size=20, aggregation="iniva", seed=6)
-        plan = FailurePlan.crash_from_start([2, 5])
-        _deployment, result = run_deployment(config, failure_plan=plan)
+        plan = ChaosPlan(seed=0, crashes={2: 0.0, 5: 0.0})
+        _deployment, result = run_deployment(config, plan=plan)
         assert result.second_chance_inclusions > 0
         assert result.committed_operations > 0
 
@@ -94,8 +95,8 @@ class TestCrashResilience:
         config = ConsensusConfig(
             committee_size=9, batch_size=20, aggregation=scheme, seed=8, view_timeout=0.1
         )
-        plan = FailurePlan.crash_from_start([1, 4])
-        _deployment, result = run_deployment(config, duration=2.5, failure_plan=plan)
+        plan = ChaosPlan(seed=0, crashes={1: 0.0, 4: 0.0})
+        _deployment, result = run_deployment(config, duration=2.5, plan=plan)
         assert result.committed_operations > 0
         assert result.failed_view_fraction < 0.9
 
@@ -103,8 +104,8 @@ class TestCrashResilience:
         config = ConsensusConfig(
             committee_size=9, batch_size=20, aggregation="iniva", seed=9, view_timeout=0.1
         )
-        plan = FailurePlan.crash_from_start([0, 7])
-        deployment, _result = run_deployment(config, duration=2.5, failure_plan=plan)
+        plan = ChaosPlan(seed=0, crashes={0: 0.0, 7: 0.0})
+        deployment, _result = run_deployment(config, duration=2.5, plan=plan)
         chains = [committed_chain(r) for r in deployment.correct_replicas()]
         longest = max(chains, key=len)
         for chain in chains:

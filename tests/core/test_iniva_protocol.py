@@ -9,22 +9,23 @@ and verified from the certificate alone.
 import pytest
 
 from repro.aggregation.messages import SignatureMessage
+from repro.chaos import ChaosPlan
 from repro.consensus.config import ConsensusConfig
 from repro.core.rewards import compute_rewards, validate_multiplicities
 from repro.experiments.runner import build_deployment, summarise
 from repro.experiments.workloads import ClientWorkload
-from repro.simnet.failures import FailureInjector, FailurePlan
+from repro.scenarios.engine import attach_chaos
 
 
-def run(config, duration=1.2, drop_rule=None, failure_plan=None):
+def run(config, duration=1.2, drop_rule=None, plan=None):
     deployment = build_deployment(config, warmup=0.1)
     ClientWorkload(rate=1500, payload_size=64, seed=3).attach(
         deployment.simulator, deployment.mempool, duration
     )
     if drop_rule is not None:
         deployment.network.add_drop_rule(drop_rule)
-    if failure_plan is not None:
-        FailureInjector(deployment.simulator, deployment.network).apply(failure_plan)
+    if plan is not None:
+        attach_chaos(deployment.replicas, deployment.network, plan)
     deployment.start()
     deployment.simulator.run(until=duration)
     return deployment
@@ -97,8 +98,8 @@ class TestMultiplicityEncoding:
 class TestInclusiveness:
     def test_all_correct_processes_included_despite_crashes(self):
         config = ConsensusConfig(committee_size=9, batch_size=10, aggregation="iniva", seed=25)
-        plan = FailurePlan.crash_from_start([2])
-        deployment = run(config, failure_plan=plan, duration=1.5)
+        plan = ChaosPlan(seed=0, crashes={2: 0.0})
+        deployment = run(config, plan=plan, duration=1.5)
         correct = {pid for pid in range(9) if pid != 2}
         checked = 0
         for _tree, qc in collect_qcs_with_trees(deployment):
@@ -112,11 +113,11 @@ class TestInclusiveness:
         assert checked > 0
 
     def test_no2c_variant_omits_subtrees_under_crash(self):
-        plan = FailurePlan.crash_from_start([3])
+        plan = ChaosPlan(seed=0, crashes={3: 0.0})
         sizes = {}
         for scheme in ("tree", "iniva"):
             config = ConsensusConfig(committee_size=9, batch_size=10, aggregation=scheme, seed=26)
-            deployment = run(config, failure_plan=plan, duration=1.5)
+            deployment = run(config, plan=plan, duration=1.5)
             result = summarise(deployment, 1.5)
             sizes[scheme] = result.average_qc_size
         assert sizes["iniva"] > sizes["tree"]

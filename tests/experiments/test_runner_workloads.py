@@ -3,6 +3,7 @@
 import pytest
 
 from repro import api
+from repro.chaos import ChaosPlan
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.mempool import Mempool
 from repro.crypto.params import TOY_PARAMS
@@ -10,8 +11,8 @@ from repro.experiments import specs
 from repro.experiments.report import format_rows, series
 from repro.experiments.runner import build_deployment, summarise
 from repro.experiments.workloads import ClientWorkload
+from repro.scenarios.engine import attach_chaos
 from repro.simnet.events import Simulator
-from repro.simnet.failures import FailureInjector, FailurePlan
 
 
 class TestClientWorkload:
@@ -86,8 +87,10 @@ class TestRunner:
         )
         healthy = api.run(spec).metrics
         deployment = api.deploy(spec)
-        FailureInjector(deployment.simulator, deployment.network).apply(
-            FailurePlan.crash_from_start([1, 3])
+        attach_chaos(
+            deployment.replicas,
+            deployment.network,
+            ChaosPlan(seed=0, crashes={1: 0.0, 3: 0.0}),
         )
         deployment.start()
         deployment.simulator.run(until=spec.duration)

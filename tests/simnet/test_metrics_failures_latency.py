@@ -5,8 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import ChaosPlan
+from repro.scenarios.engine import attach_chaos, compile_scenario
+from repro.scenarios.spec import CommitteeSpec, FaultSpec, ScenarioSpec
 from repro.simnet.events import Simulator
-from repro.simnet.failures import FailureInjector, FailurePlan
+from repro.simnet.failures import PartitionEvent
 from repro.simnet.latency import ConstantLatency, NormalLatency, UniformLatency
 from repro.simnet.metrics import LatencyStats, MetricsCollector
 from repro.simnet.network import Network
@@ -126,33 +129,46 @@ class TestMetricsCollector:
         assert metrics.throughput() == 0.0
 
 
+def _processes(count: int):
+    sim = Simulator()
+    network = Network(sim, latency_model=ConstantLatency(0.001))
+    return sim, network, [Dummy(pid, sim, network) for pid in range(count)]
+
+
+def _crash_draw(size: int, crashes: int, **faults) -> ChaosPlan:
+    spec = ScenarioSpec(
+        name="crash-draw",
+        committee=CommitteeSpec(size=size),
+        faults=FaultSpec(crashes=crashes, **faults),
+    )
+    return compile_scenario(spec).plan
+
+
 class TestFailureInjection:
     def test_crash_from_start(self):
-        plan = FailurePlan.crash_from_start([1, 3])
-        assert plan.faulty_ids == [1, 3]
-        assert len(plan) == 2
+        sim, network, processes = _processes(4)
+        attach_chaos(processes, network, ChaosPlan(seed=0, crashes={1: 0.0, 3: 0.0}))
+        assert [process.crashed for process in processes] == [False, True, False, True]
 
     def test_random_crashes_respect_exclusions(self):
-        plan = FailurePlan.random_crashes(10, 3, seed=1, exclude=[0, 1])
-        assert len(plan) == 3
-        assert not set(plan.faulty_ids) & {0, 1}
+        plan = _crash_draw(10, 3, crash_seed=1, crash_exclude=(1,))
+        assert len(plan.crashes) == 3
+        assert not set(plan.crashes) & {0, 1}  # the leader is protected too
+        assert set(plan.crashes.values()) == {0.0}
+        assert plan.restarts == {}
 
     def test_random_crashes_too_many(self):
-        with pytest.raises(ValueError):
-            FailurePlan.random_crashes(4, 5)
+        with pytest.raises(ValueError, match="cannot crash more processes"):
+            _crash_draw(4, 4)
 
     def test_injector_applies_immediate_and_scheduled_crashes(self):
-        sim = Simulator()
-        network = Network(sim, latency_model=ConstantLatency(0.001))
-        processes = [Dummy(pid, sim, network) for pid in range(3)]
-        injector = FailureInjector(sim, network)
-        injector.apply(FailurePlan(crashes={0: 0.0, 1: 1.0}))
+        sim, network, processes = _processes(3)
+        attach_chaos(processes, network, ChaosPlan(seed=0, crashes={0: 0.0, 1: 1.0}))
         assert processes[0].crashed
         assert not processes[1].crashed
         sim.run()
         assert processes[1].crashed
         assert not processes[2].crashed
-        assert injector.crashed_processes == [0, 1]
 
     def test_crash_link_drops_messages(self):
         sim = Simulator()
@@ -166,8 +182,9 @@ class TestFailureInjection:
 
         a = Recorder(0, sim, network)
         b = Recorder(1, sim, network)
-        injector = FailureInjector(sim, network)
-        injector.crash_link(0, 1)
+        # A partition that never heals is a crashed link, both directions.
+        cut = PartitionEvent(at=0.0, groups=((0,), (1,)))
+        attach_chaos([a, b], network, ChaosPlan(seed=0, partitions=(cut,)))
         a.send(1, "x")
         b.send(0, "y")
         sim.run()

@@ -1,11 +1,19 @@
-"""Tests for timed partitions (link suppression) and per-link bandwidth."""
+"""Tests for timed partitions (link suppression) and per-link bandwidth.
+
+Partitions run through a :class:`~repro.chaos.plan.ChaosPlan` and the
+drivers :func:`~repro.scenarios.engine.attach_chaos` arms, as in every
+simulated scenario.
+"""
 
 import random
 
 import pytest
 
+from repro.chaos import ChaosPlan
+from repro.scenarios.engine import attach_chaos
+from repro.scenarios.spec import ScenarioSpec
 from repro.simnet.events import Simulator
-from repro.simnet.failures import FailureInjector, PartitionEvent
+from repro.simnet.failures import PartitionEvent
 from repro.simnet.latency import ConstantLatency, LinkBandwidth
 from repro.simnet.network import Network
 from repro.simnet.process import Process
@@ -28,6 +36,10 @@ def make_network(count: int = 4, delay: float = 0.001):
     return sim, network, processes
 
 
+def schedule_partitions(processes, network, *events: PartitionEvent):
+    return attach_chaos(processes, network, ChaosPlan(seed=0, partitions=events))
+
+
 class TestPartitionEvent:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,6 +48,23 @@ class TestPartitionEvent:
             PartitionEvent(at=2.0, groups=((0,),), heal_at=1.0)
         with pytest.raises(ValueError):
             PartitionEvent(at=0.0, groups=())
+
+    def test_a_process_may_be_listed_once_only(self):
+        with pytest.raises(ValueError, match="process 1 is listed twice"):
+            PartitionEvent(at=1.0, groups=((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="process 3 is listed twice"):
+            PartitionEvent(at=1.0, groups=((3, 3),))
+
+    def test_spec_loader_refuses_overlapping_groups(self):
+        data = {
+            "name": "overlap",
+            "committee": {"size": 9},
+            "faults": {
+                "partitions": [{"at": 1.0, "groups": [[0, 1, 2, 3, 4], [4, 5, 6, 7, 8]]}]
+            },
+        }
+        with pytest.raises(ValueError, match="process 4 is listed twice"):
+            ScenarioSpec.from_dict(data)
 
     def test_scaled(self):
         event = PartitionEvent(at=2.0, groups=((0, 1), (2,)), heal_at=4.0)
@@ -48,9 +77,9 @@ class TestPartitionEvent:
 class TestLinkBlocking:
     def test_blocked_link_suppresses_and_counts(self):
         sim, network, processes = make_network()
-        network.block_link(0, 1)
+        schedule_partitions(processes, network, PartitionEvent(at=0.0, groups=((0, 2, 3), (1,))))
         processes[0].send(1, "x")
-        processes[1].send(0, "y")  # bidirectional by default
+        processes[1].send(0, "y")  # both directions of the link are cut
         processes[0].send(2, "z")  # unrelated link unaffected
         sim.run()
         assert processes[1].received == []
@@ -61,8 +90,10 @@ class TestLinkBlocking:
 
     def test_unblock_restores_delivery(self):
         sim, network, processes = make_network()
-        network.block_link(0, 1)
-        network.unblock_link(0, 1)
+        schedule_partitions(
+            processes, network, PartitionEvent(at=0.0, groups=((0,), (1, 2, 3)), heal_at=0.5)
+        )
+        sim.run(until=0.5)
         processes[0].send(1, "x")
         sim.run()
         assert len(processes[1].received) == 1
@@ -72,9 +103,8 @@ class TestLinkBlocking:
 class TestScheduledPartitions:
     def test_partition_suppresses_then_heals(self):
         sim, network, processes = make_network(count=4)
-        injector = FailureInjector(sim, network)
-        injector.schedule_partition(
-            PartitionEvent(at=1.0, groups=((0, 1), (2, 3)), heal_at=2.0)
+        drivers = schedule_partitions(
+            processes, network, PartitionEvent(at=1.0, groups=((0, 1), (2, 3)), heal_at=2.0)
         )
         # Before the partition: everything flows.
         sim.run(until=0.5)
@@ -94,12 +124,11 @@ class TestScheduledPartitions:
         processes[0].send(2, "after")
         sim.run()
         assert [m for _, _, m in processes[2].received] == ["before", "after"]
-        assert network.blocked_links == set()
+        assert not any(driver.blocked_links for driver in drivers.values())
 
     def test_unlisted_processes_are_isolated(self):
         sim, network, processes = make_network(count=3)
-        injector = FailureInjector(sim, network)
-        injector.schedule_partition(PartitionEvent(at=0.0, groups=((0, 1),)))
+        schedule_partitions(processes, network, PartitionEvent(at=0.0, groups=((0, 1),)))
         processes[0].send(2, "x")
         processes[2].send(1, "y")
         processes[0].send(1, "z")
@@ -109,9 +138,12 @@ class TestScheduledPartitions:
 
     def test_overlapping_partitions_compose(self):
         sim, network, processes = make_network(count=3)
-        injector = FailureInjector(sim, network)
-        injector.schedule_partition(PartitionEvent(at=0.0, groups=((0,), (1, 2)), heal_at=1.0))
-        injector.schedule_partition(PartitionEvent(at=0.5, groups=((0, 1), (2,)), heal_at=2.0))
+        schedule_partitions(
+            processes,
+            network,
+            PartitionEvent(at=0.0, groups=((0,), (1, 2)), heal_at=1.0),
+            PartitionEvent(at=0.5, groups=((0, 1), (2,)), heal_at=2.0),
+        )
         # At t=1.2 the first partition healed but the second still cuts 2 off.
         sim.run(until=1.2)
         processes[0].send(1, "a")
@@ -127,8 +159,9 @@ class TestScheduledPartitions:
     def test_already_healed_partition_is_a_noop(self):
         sim, network, processes = make_network(count=2)
         sim.run(until=3.0)
-        injector = FailureInjector(sim, network)
-        injector.schedule_partition(PartitionEvent(at=1.0, groups=((0,), (1,)), heal_at=2.0))
+        schedule_partitions(
+            processes, network, PartitionEvent(at=1.0, groups=((0,), (1,)), heal_at=2.0)
+        )
         processes[0].send(1, "x")
         sim.run()
         assert [m for _, _, m in processes[1].received] == ["x"]

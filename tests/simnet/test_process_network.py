@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.chaos import ChaosPlan
+from repro.scenarios.engine import attach_chaos
 from repro.simnet.events import Simulator
+from repro.simnet.failures import PartitionEvent
 from repro.simnet.latency import ConstantLatency
 from repro.simnet.network import Network
 from repro.simnet.process import CpuCostModel, Process
@@ -88,11 +91,12 @@ class TestFailuresAndPartitions:
 
     def test_partition_and_heal(self):
         sim, network, a, b = make_pair()
-        network.partition([[0], [1]])
+        partition = PartitionEvent(at=0.0, groups=((0,), (1,)), heal_at=1.0)
+        attach_chaos([a, b], network, ChaosPlan(seed=0, partitions=(partition,)))
         a.send(1, "lost")
-        sim.run()
+        sim.run(until=0.5)
         assert b.received == []
-        network.heal_partition()
+        sim.run(until=1.0)
         a.send(1, "found")
         sim.run()
         assert [m for _, m, _ in b.received] == ["found"]

@@ -10,6 +10,12 @@ summary, view counts, CPU utilisation and a digest of the committed
 order.  A kernel change that
 reorders, adds or drops one event anywhere fails here.
 
+Three quick presets pin the same fields for the fault kinds the
+crash-from-start shape does not reach: four simultaneous restarts
+(``crash-storm`` with ``restart_at``, whose recoveries draw from the
+network RNG in the order they fire), a partition that heals
+(``partition-heal``) and an omission cartel (``omission-cartel``).
+
 To regenerate ``golden_sim_counts.json`` (only for a deliberate behaviour
 change, with the reason written down): ``PYTHONPATH=src python
 tests/simnet/test_sim_counts.py``.
@@ -26,10 +32,18 @@ import pytest
 
 from repro import api
 from repro.experiments.runner import summarise
+from repro.scenarios.presets import load_preset
 from repro.scenarios.spec import CommitteeSpec, FaultSpec, ScenarioSpec, WorkloadSpec
 
 _GOLDEN_PATH = Path(__file__).with_name("golden_sim_counts.json")
 CASES = [(aggregation, seed) for aggregation in ("iniva", "star") for seed in (1, 2)]
+FAULT_CASES = {
+    "crash-storm-restart/quick": lambda: load_preset("crash-storm")
+    .with_(faults={"restart_at": 3.5})
+    .quick(),
+    "partition-heal/quick": lambda: load_preset("partition-heal").quick(),
+    "omission-cartel/quick": lambda: load_preset("omission-cartel").quick(),
+}
 
 
 def _spec(aggregation: str, seed: int) -> ScenarioSpec:
@@ -47,8 +61,7 @@ def _spec(aggregation: str, seed: int) -> ScenarioSpec:
     )
 
 
-def exact_counts(aggregation: str, seed: int) -> Dict[str, Any]:
-    spec = _spec(aggregation, seed)
+def exact_counts(spec: ScenarioSpec) -> Dict[str, Any]:
     deployment = api.deploy(spec)
     deployment.start()
     deployment.simulator.run(until=spec.duration)
@@ -78,10 +91,20 @@ def _key(aggregation: str, seed: int) -> str:
 @pytest.mark.parametrize("aggregation,seed", CASES)
 def test_exact_counts_match_golden(aggregation, seed):
     golden = json.loads(_GOLDEN_PATH.read_text())
-    assert exact_counts(aggregation, seed) == golden[_key(aggregation, seed)]
+    assert exact_counts(_spec(aggregation, seed)) == golden[_key(aggregation, seed)]
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_fault_counts_match_golden(case):
+    golden = json.loads(_GOLDEN_PATH.read_text())
+    assert exact_counts(FAULT_CASES[case]()) == golden[case]
 
 
 if __name__ == "__main__":
-    document = {_key(aggregation, seed): exact_counts(aggregation, seed) for aggregation, seed in CASES}
+    document = {
+        _key(aggregation, seed): exact_counts(_spec(aggregation, seed))
+        for aggregation, seed in CASES
+    }
+    document.update({case: exact_counts(build()) for case, build in FAULT_CASES.items()})
     _GOLDEN_PATH.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
     print(f"wrote {_GOLDEN_PATH}")
