@@ -2,8 +2,8 @@
 
 Not a figure of the paper itself, but the ablation DESIGN.md calls out for
 the baseline implementations added alongside the reproduction: it pits the
-star protocol, the plain tree (Iniva-No2C), Kauri, Gosig, Handel and Iniva
-against each other fault-free and with crash faults, and asserts the
+star protocol, the plain tree (Iniva-No2C), Kauri, Gosig and Iniva against
+each other fault-free and with crash faults, and asserts the
 qualitative claims the paper makes about them (Sections II and IV):
 
 * fault-free, every scheme reaches a quorum and the star protocol has the
@@ -23,7 +23,6 @@ SCHEMES = [
     ("Iniva-No2C (tree)", "tree", {}),
     ("Kauri", "kauri", {}),
     ("Gosig k=3", "gosig", {"gossip_fanout": 3, "gossip_rounds": 8}),
-    ("Handel", "handel", {"handel_peers_per_level": 2}),
     ("Iniva", "iniva", {}),
 ]
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Baseline showdown: every aggregation scheme on the same workload.
 
-Runs the same committee and client load through all six vote-aggregation
+Runs the same committee and client load through all five vote-aggregation
 schemes shipped with the library — HotStuff's star, the plain tree
 (Iniva-No2C), Kauri's stable reconfiguring tree, Gosig's randomised
-gossip (with and without free-riding), Handel's level-based aggregation
-and Iniva itself — first fault-free and then with crashed replicas.
+gossip (with and without free-riding) and Iniva itself — first
+fault-free and then with crashed replicas.
 
 Since the API redesign the whole comparison is one declarative grid over
 ``repro.api.sweep``: every scheme is a one-dict override of the same base
@@ -53,7 +53,6 @@ SCHEMES = [
     ("Gosig k=3", "gosig", {"gossip_fanout": 3, "gossip_rounds": 8}),
     ("Gosig k=3, 30% free-riding", "gosig",
      {"gossip_fanout": 3, "gossip_rounds": 8, "free_rider_fraction": 0.3}),
-    ("Handel", "handel", {"handel_peers_per_level": 2}),
     ("Iniva", "iniva", {}),
 ]
 

@@ -43,7 +43,7 @@ Subpackages
     aggregation and round-robin / Carousel / Rebop leader election.
 ``repro.aggregation``
     Baseline aggregation schemes: star (HotStuff), plain tree
-    (Iniva-No2C), Kauri, Gosig and Handel.
+    (Iniva-No2C), Kauri and Gosig.
 ``repro.analysis``
     The paper's analysis, each formula stated once in
     :mod:`repro.analysis.model` (Table I, Theorem 4, Section VI's

@@ -16,8 +16,6 @@ the paper compares against:
   the behaviour the paper attributes to Kauri/ByzCoin.
 * :class:`~repro.aggregation.gossip.GosigAggregator` — Gosig's randomised
   gossip aggregation with parameter ``k`` and optional free-riding.
-* :class:`~repro.aggregation.handel.HandelAggregator` — Handel-style
-  multi-level randomised aggregation.
 
 Iniva itself (tree aggregation plus ACK/2ND-CHANCE fallback paths) extends
 the tree aggregator and lives with the rest of the paper's contribution in
@@ -34,7 +32,6 @@ from repro.aggregation.messages import (
     SignatureMessage,
 )
 from repro.aggregation.gossip import GosigAggregator
-from repro.aggregation.handel import HandelAggregator
 from repro.aggregation.kauri import KauriAggregator
 from repro.aggregation.star import StarAggregator
 from repro.aggregation.tree_agg import TreeAggregator
@@ -43,7 +40,6 @@ __all__ = [
     "AckMessage",
     "Aggregator",
     "GosigAggregator",
-    "HandelAggregator",
     "KauriAggregator",
     "NewViewMessage",
     "ProposalMessage",

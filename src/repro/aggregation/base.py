@@ -210,7 +210,6 @@ _AGGREGATOR_MODULES: Dict[str, str] = {
     "star": "repro.aggregation.star",
     "tree": "repro.aggregation.tree_agg",
     "gosig": "repro.aggregation.gossip",
-    "handel": "repro.aggregation.handel",
     "kauri": "repro.aggregation.kauri",
 }
 
@@ -224,8 +223,8 @@ def register_aggregator(cls: type) -> type:
 def make_aggregator(name: str, replica: "HotStuffReplica") -> Aggregator:
     """Instantiate the aggregation scheme ``name`` for ``replica``.
 
-    ``"star"``, ``"tree"`` (Iniva-No2C), ``"iniva"``, ``"gosig"``,
-    ``"handel"`` and ``"kauri"`` are registered by importing their modules;
+    ``"star"``, ``"tree"`` (Iniva-No2C), ``"iniva"``, ``"gosig"`` and
+    ``"kauri"`` are registered by importing their modules;
     unknown names raise ``KeyError``.
     """
     if name not in _AGGREGATOR_REGISTRY and name in _AGGREGATOR_MODULES:

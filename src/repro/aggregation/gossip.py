@@ -21,15 +21,12 @@ modelled explicitly:
 
 The merge rule only folds in aggregates that contribute at least one new
 signer, keeping multiplicities bounded while preserving the indivisible
-aggregation semantics.  Handel (:mod:`repro.aggregation.handel`) merges
-by the same rule and differs only in how it picks peers, so both build on
-:class:`MergeAggregator`.
+aggregation semantics.
 """
 
 from __future__ import annotations
 
 import random
-from abc import abstractmethod
 from dataclasses import dataclass
 from typing import Any, List, Optional, Union
 
@@ -38,29 +35,47 @@ from repro.aggregation.messages import SignatureMessage
 from repro.consensus.block import Block
 from repro.crypto.multisig import AggregateSignature, SignatureShare
 
-__all__ = ["GosigAggregator", "MergeAggregator"]
+__all__ = ["GosigAggregator"]
+
+#: Seconds between two gossip rounds of one process.
+GOSSIP_INTERVAL = 0.002
 
 
 @dataclass(slots=True)
-class MergeRound(Round):
-    """A Gosig / Handel round: this replica's share and running aggregate."""
+class GosigRound(Round):
+    """A Gosig round: this replica's share, running aggregate and gossip state."""
 
     own_share: Optional[SignatureShare] = None
     aggregate: Optional[AggregateSignature] = None
-    #: Gosig only: the gossip rounds sent so far and the peer-sampling rng.
+    #: The gossip rounds sent so far and the peer-sampling rng.
     rounds_sent: int = 0
     rng: Optional[random.Random] = None
 
 
-class MergeAggregator(Aggregator):
-    """Verify-and-merge aggregation, shared by Gosig and Handel.
+@register_aggregator
+class GosigAggregator(Aggregator):
+    """Randomised gossip aggregation with parameter ``k`` (``gossip_fanout``).
 
     Every replica folds what it receives into a running aggregate when it
-    adds new signers and spreads that aggregate to the peers :meth:`_spread`
-    picks; the collector finalises at a quorum.
+    adds new signers and gossips that aggregate to ``k`` random peers every
+    :data:`GOSSIP_INTERVAL`; the collector finalises at a quorum.
     """
 
-    round_type = MergeRound
+    name = "gosig"
+    round_type = GosigRound
+
+    # -- behaviour classification --------------------------------------------------
+    def is_free_rider(self, block: Block) -> bool:
+        """Whether this process skips aggregation work for ``block``.
+
+        Free-riders are a deterministic prefix of the committee so that
+        experiments are reproducible; the collector never free-rides (it
+        must aggregate to form a QC at all).
+        """
+        count = int(round(self.config.free_rider_fraction * self.config.committee_size))
+        if self.process_id >= count:
+            return False
+        return self.replica.collector_for(block) != self.process_id
 
     # -- proposal path ---------------------------------------------------------------
     def _on_proposal(self, block: Block) -> None:
@@ -73,7 +88,10 @@ class MergeAggregator(Aggregator):
         state.own_share = share
         state.aggregate = self.scheme.aggregate([(share, 1)])
         self._replay_pending(state)
-        self._spread(block, state)
+        state.rng = random.Random(
+            (self.config.seed * 1_000_003 + self.process_id) * 1_000_003 + block.view
+        )
+        self._gossip_round(block)
         if self._is_collector(block):
             # The collector also arms a deadline: with message loss or many
             # free-riders the aggregate may never reach the full committee.
@@ -81,12 +99,8 @@ class MergeAggregator(Aggregator):
                 self.config.aggregation_timer(height=2), self._collector_check, block
             )
 
-    @abstractmethod
-    def _spread(self, block: Block, state: MergeRound) -> None:
-        """Start sending the running aggregate to peers."""
-
     # -- merging incoming aggregates ----------------------------------------------------
-    def _awaits_proposal(self, state: Optional[MergeRound]) -> bool:
+    def _awaits_proposal(self, state: Optional[GosigRound]) -> bool:
         return state is None or state.own_share is None
 
     def _on_vote(self, sender: int, message: SignatureMessage) -> None:
@@ -97,8 +111,11 @@ class MergeAggregator(Aggregator):
         if merged and self._is_collector(block):
             self._collector_check(block)
 
-    def _merge(self, block: Block, state: MergeRound, incoming: Any) -> bool:
+    def _merge(self, block: Block, state: GosigRound, incoming: Any) -> bool:
         """Fold ``incoming`` into the local aggregate if it adds new signers."""
+        if self.is_free_rider(block):
+            # Free-riders do not verify or merge other processes' work.
+            return False
         current = state.aggregate
         if isinstance(incoming, SignatureShare):
             new_signers = {incoming.signer} - set(current.signers)
@@ -122,49 +139,7 @@ class MergeAggregator(Aggregator):
         state.aggregate = self.scheme.aggregate([(current, 1), (incoming, 1)])
         return True
 
-    # -- collector --------------------------------------------------------------------------
-    def _is_collector(self, block: Block) -> bool:
-        return self.replica.collector_for(block) == self.process_id
-
-    def _collector_check(self, block: Block) -> None:
-        """Finalise at a quorum; also the collector's deadline callback."""
-        state = self._round(block.block_id)
-        if state.done or state.aggregate is None:
-            return
-        if len(state.aggregate.signers) >= self.config.quorum_size:
-            self._finalise(block, state.aggregate)
-
-
-@register_aggregator
-class GosigAggregator(MergeAggregator):
-    """Randomised gossip aggregation with parameter ``k`` (``gossip_fanout``)."""
-
-    name = "gosig"
-
-    # -- behaviour classification --------------------------------------------------
-    def is_free_rider(self, block: Block) -> bool:
-        """Whether this process skips aggregation work for ``block``.
-
-        Free-riders are a deterministic prefix of the committee so that
-        experiments are reproducible; the collector never free-rides (it
-        must aggregate to form a QC at all).
-        """
-        count = int(round(self.config.free_rider_fraction * self.config.committee_size))
-        if self.process_id >= count:
-            return False
-        return self.replica.collector_for(block) != self.process_id
-
-    def _merge(self, block: Block, state: MergeRound, incoming: Any) -> bool:
-        # Free-riders do not verify or merge other processes' work.
-        return not self.is_free_rider(block) and super()._merge(block, state, incoming)
-
     # -- gossip rounds --------------------------------------------------------------
-    def _spread(self, block: Block, state: MergeRound) -> None:
-        state.rng = random.Random(
-            (self.config.seed * 1_000_003 + self.process_id) * 1_000_003 + block.view
-        )
-        self._gossip_round(block)
-
     def _gossip_round(self, block: Block) -> None:
         state = self._round(block.block_id)
         if state.done or state.rounds_sent >= self.config.gossip_rounds:
@@ -178,9 +153,21 @@ class GosigAggregator(MergeAggregator):
         peers = self._pick_peers(state.rng)
         message = SignatureMessage(block_id=block.block_id, view=block.view, signature=payload)
         self.replica.multicast(peers, message, size_bytes=message.size_bytes)
-        self.replica.set_timer(self.config.gossip_interval, self._gossip_round, block)
+        self.replica.set_timer(GOSSIP_INTERVAL, self._gossip_round, block)
 
     def _pick_peers(self, rng: random.Random) -> List[int]:
         population = [pid for pid in range(self.config.committee_size) if pid != self.process_id]
         fanout = min(self.config.gossip_fanout, len(population))
         return rng.sample(population, fanout)
+
+    # -- collector --------------------------------------------------------------------------
+    def _is_collector(self, block: Block) -> bool:
+        return self.replica.collector_for(block) == self.process_id
+
+    def _collector_check(self, block: Block) -> None:
+        """Finalise at a quorum; also the collector's deadline callback."""
+        state = self._round(block.block_id)
+        if state.done or state.aggregate is None:
+            return
+        if len(state.aggregate.signers) >= self.config.quorum_size:
+            self._finalise(block, state.aggregate)

@@ -58,12 +58,3 @@ class ChaosPlan:
                 raise ValueError(f"process {pid} restarts but never crashes")
             if restart_time <= crash_time:
                 raise ValueError(f"process {pid} restarts before it crashes")
-
-    @property
-    def shapes_traffic(self) -> bool:
-        """Whether any outbound message needs the shaping pipeline."""
-        return (
-            self.latency_model is not None
-            or self.loss_probability > 0
-            or self.bandwidth_bytes_per_sec is not None
-        )

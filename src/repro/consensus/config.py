@@ -25,12 +25,12 @@ class ConsensusConfig:
         payload_size: Per-request payload in bytes (64 B / 128 B in the
             paper's base evaluation).
         aggregation: One of ``"star"`` (HotStuff), ``"tree"``
-            (Iniva-No2C / Kauri-style) or ``"iniva"``.
+            (Iniva-No2C / Kauri-style), ``"iniva"`` or the ``"gosig"`` /
+            ``"kauri"`` baselines.
         num_internal: Number of internal aggregators in the tree; ``None``
             selects the balanced default (≈ sqrt(n)).
-        delta: The assumed network delay bound Δ used to derive timers.
-        aggregation_timeout: Override for the per-level aggregation timer;
-            defaults to ``2 * delta * height`` per the paper's heuristic.
+        delta: The assumed network delay bound Δ used to derive timers
+            (the per-level aggregation timer is ``2 * delta * height``).
         second_chance_timeout: The δ timer before the collector finalises a
             QC after sending 2ND-CHANCE messages (5 ms / 10 ms in Fig. 4).
         view_timeout: Pacemaker timeout after which a view is abandoned.
@@ -49,20 +49,16 @@ class ConsensusConfig:
     aggregation: str = "iniva"
     num_internal: Optional[int] = None
     delta: float = 0.0025
-    aggregation_timeout: Optional[float] = None
     second_chance_timeout: float = 0.005
     view_timeout: float = 0.25
     leader_policy: str = "round-robin"
     signature_scheme: str = "hashsig"
     seed: int = 1
     cpu_model: CpuCostModel = field(default_factory=CpuCostModel)
-    # -- baseline aggregation scheme knobs (Gosig / Handel / Kauri) --------------
+    # -- baseline aggregation scheme knobs (Gosig / Kauri) ------------------------
     gossip_fanout: int = 2
-    gossip_interval: float = 0.002
     gossip_rounds: int = 6
     free_rider_fraction: float = 0.0
-    handel_level_delay: float = 0.002
-    handel_peers_per_level: int = 2
     kauri_fallback_threshold: int = 3
     # -- resilience knobs (see ResilienceSpec) -----------------------------------
     #: A replica recovering from a crash multicasts a SyncRequest and
@@ -73,7 +69,7 @@ class ConsensusConfig:
     #: contiguous from the requester's height; a still-behind requester
     #: simply asks again).
     max_sync_blocks: int = 64
-    # -- hot-path pacing knobs (opt-in; defaults preserve the paper-faithful
+    # -- hot-path pacing knob (opt-in; the default preserves the paper-faithful
     # -- timer-paced behaviour bit for bit) --------------------------------------
     #: Optimistic responsiveness (HotStuff PODC'19): proposals fire the
     #: moment a replica becomes leader — on QC arrival or view entry — with
@@ -81,14 +77,9 @@ class ConsensusConfig:
     #: arrival, so the pacemaker timers become a fallback rather than the
     #: pacer and chained views pipeline back to back.
     optimistic_responsiveness: bool = False
-    #: Defer an under-full proposal for up to this many seconds after the
-    #: leader first tried to propose the view, waiting for the mempool to
-    #: fill a ``batch_size`` batch (an early full batch fires immediately).
-    #: 0 proposes whatever is pending at once — the paper-faithful default.
-    batch_deadline: float = 0.0
 
     #: All registered vote aggregation schemes accepted by ``aggregation``.
-    SUPPORTED_AGGREGATIONS = frozenset({"star", "tree", "iniva", "gosig", "handel", "kauri"})
+    SUPPORTED_AGGREGATIONS = frozenset({"star", "tree", "iniva", "gosig", "kauri"})
 
     #: All registered multi-signature backends accepted by ``signature_scheme``.
     SUPPORTED_SIGNATURES = frozenset({"hashsig", "hash", "bls"})
@@ -112,8 +103,6 @@ class ConsensusConfig:
             raise ValueError("Kauri fallback threshold must be positive")
         if self.max_sync_blocks < 1:
             raise ValueError("max_sync_blocks must be positive")
-        if self.batch_deadline < 0:
-            raise ValueError("batch deadline cannot be negative")
 
     # -- derived quantities ---------------------------------------------------
     @property
@@ -127,8 +116,6 @@ class ConsensusConfig:
 
     def aggregation_timer(self, height: int) -> float:
         """The paper's heuristic: ``2 * Δ * height(p)`` for a node at ``height``."""
-        if self.aggregation_timeout is not None:
-            return self.aggregation_timeout * max(height, 1)
         return 2.0 * self.delta * max(height, 1)
 
     def with_(self, **overrides) -> "ConsensusConfig":

@@ -86,9 +86,6 @@ class HotStuffReplica(Process):
         self._votes: Dict[str, SignatureShare] = {}
         self._proposed_views: set[int] = set()
         self._propose_scheduled: set[int] = set()
-        # First time propose() ran for a view, per view — the anchor the
-        # batch_deadline deferral measures its waiting window from.
-        self._propose_first_try: Dict[int, float] = {}
         self._view_timer: Optional[Timer] = None
         # Catch-up bookkeeping (the state-transfer half of the resilience
         # layer; see repro.resilience.messages).
@@ -288,8 +285,6 @@ class HotStuffReplica(Process):
         parent = self.blocks.get(self.highest_qc.block_id)
         if parent is None:
             return
-        if self._defer_for_batch(view):
-            return
         batch = self.mempool.next_batch(self.config.batch_size)
         payload = tuple(request.request_id for request in batch)
         payload_bytes = sum(request.size_bytes for request in batch)
@@ -304,7 +299,6 @@ class HotStuffReplica(Process):
             timestamp=self.now,
         )
         self._proposed_views.add(view)
-        self._propose_first_try.pop(view, None)
         self.blocks[block.block_id] = block
         self._trace(
             "propose",
@@ -316,47 +310,6 @@ class HotStuffReplica(Process):
         self.mempool.track_block(block.block_id, batch)
         self.consume_cpu(self.config.cpu_model.proposal_cost(payload_bytes))
         self.aggregator.disseminate(block)
-
-    def _defer_for_batch(self, view: int) -> bool:
-        """Hold an under-full proposal back, up to ``batch_deadline``.
-
-        Proposal batching by size *or* deadline: the first propose() of a
-        view with fewer than ``batch_size`` requests pending re-arms itself
-        for the remaining deadline instead of shipping a small block;
-        :meth:`maybe_propose_full_batch` fires it early the moment the pool
-        fills.  Returns True when the proposal was deferred.
-        """
-        deadline = self.config.batch_deadline
-        if deadline <= 0 or self.mempool.pending_count >= self.config.batch_size:
-            self._propose_first_try.pop(view, None)
-            return False
-        first = self._propose_first_try.setdefault(view, self.now)
-        remaining = deadline - (self.now - first)
-        if remaining <= 0:
-            self._propose_first_try.pop(view, None)
-            return False
-        self.set_timer(remaining, self.propose, view)
-        return True
-
-    def maybe_propose_full_batch(self) -> None:
-        """Fire a deadline-deferred proposal early: the batch just filled.
-
-        Called by the live node's admission path after enqueueing a client
-        request.  A no-op unless this replica leads the current view, a
-        proposal was scheduled and is still waiting on the deadline, and
-        the pool now holds a full batch.
-        """
-        view = self.current_view
-        if (
-            self.config.batch_deadline <= 0
-            or self.crashed
-            or view in self._proposed_views
-            or view not in self._propose_scheduled
-            or self.mempool.pending_count < self.config.batch_size
-            or self.leader_of(view) != self.process_id
-        ):
-            return
-        self.propose(view)
 
     # ------------------------------------------------------------------
     # Deliver + vote (the aggregation scheme's upcall into consensus)

@@ -19,9 +19,12 @@ stdout summary channel, and the parent folds them with
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional
 
 from ..clients.stats import LatencyDigest
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..simnet.metrics import MetricsCollector
 
 __all__ = ["MetricsRegistry", "merge_snapshots"]
 
@@ -63,6 +66,21 @@ class MetricsRegistry:
         """Bulk-import an existing ad-hoc counter dict (summary-time)."""
         for name, value in counters.items():
             self.counter(f"{prefix}{name}", int(value))
+
+    def fill_consensus(self, metrics: "MetricsCollector") -> None:
+        """Import the ``consensus.*`` counters and commit-latency histogram.
+
+        The names both runtimes report from a run's
+        :class:`~repro.simnet.metrics.MetricsCollector`; each runtime adds
+        its own extras around them.
+        """
+        self.counter("consensus.committed_blocks", metrics.committed_blocks())
+        self.counter("consensus.committed_operations", metrics.committed_operations())
+        self.counter("consensus.views_recorded", metrics.total_views())
+        self.counter("consensus.second_chance_inclusions", metrics.second_chance_inclusions())
+        histogram = self.histogram("consensus.commit_latency")
+        for sample in metrics.latency_samples():
+            histogram.record(sample)
 
     # -- reading -----------------------------------------------------------------
     def counter_value(self, name: str) -> int:

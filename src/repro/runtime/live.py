@@ -371,15 +371,13 @@ class LiveNode:
             crash=self.crash_replica,
             recover=self.recover_replica,
         )
-        self.shaper: Optional[LinkShaper] = None
-        if plan.shapes_traffic:
-            self.shaper = LinkShaper(
-                pid=pid,
-                latency_model=plan.latency_model,
-                loss_probability=plan.loss_probability,
-                bandwidth_bytes_per_sec=plan.bandwidth_bytes_per_sec,
-                seed=plan.seed,
-            )
+        self.shaper = LinkShaper(
+            pid=pid,
+            latency_model=plan.latency_model,
+            loss_probability=plan.loss_probability,
+            bandwidth_bytes_per_sec=plan.bandwidth_bytes_per_sec,
+            seed=plan.seed,
+        )
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -411,11 +409,7 @@ class LiveNode:
             self.counters["messages_dropped"] += 1
             self.messages_blocked += 1
             return
-        shaper = self.shaper
-        if shaper is None:
-            self._enqueue(dst, message)
-            return
-        delay = shaper.shape(dst, size_bytes, self.now)
+        delay = self.shaper.shape(dst, size_bytes, self.now)
         if delay is None:  # probabilistic loss
             self.counters["messages_dropped"] += 1
             return
@@ -475,9 +469,8 @@ class LiveNode:
         if tracer is not None and tracer.sample_tick("client_admit"):
             tracer.emit("client_admit", self.pid, self.now, verdict=verdict)
         if verdict == "admitted":
-            # A full batch may be waiting on the proposal deadline.
-            self.replica.maybe_propose_full_batch()
-        elif verdict == "duplicate":
+            return
+        if verdict == "duplicate":
             if self.mempool.is_committed(request.request_id):
                 self._write_client(
                     writer,
@@ -683,23 +676,12 @@ class LiveNode:
         registry.counter("transport.messages_blocked", self.messages_blocked)
         registry.fill_counters(self.mempool.admission_summary(), prefix="clients.")
         registry.counter("clients.replies_sent", self.replies_sent)
-        registry.counter("consensus.committed_blocks", self.metrics.committed_blocks())
-        registry.counter(
-            "consensus.committed_operations", self.metrics.committed_operations()
-        )
-        registry.counter("consensus.views_recorded", self.metrics.total_views())
-        registry.counter(
-            "consensus.second_chance_inclusions",
-            self.metrics.second_chance_inclusions(),
-        )
+        registry.fill_consensus(self.metrics)
         registry.counter("resilience.sync_requests_sent", replica.sync_requests_sent)
         registry.counter("resilience.sync_requests_served", replica.sync_requests_served)
         registry.counter("resilience.catchup_blocks", replica.catchup_blocks)
         registry.counter("resilience.suspicions", len(self.detector.timeline))
         registry.gauge("consensus.current_view", replica.current_view)
-        histogram = registry.histogram("consensus.commit_latency")
-        for sample in self.metrics.latency_samples():
-            histogram.record(sample)
         return registry.snapshot()
 
 

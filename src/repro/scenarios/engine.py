@@ -315,16 +315,8 @@ def run_scenario(spec: ScenarioSpec, quick: bool = False) -> RunResult:
         metrics = deployment.metrics
         registry = MetricsRegistry()
         registry.fill_counters(deployment.network.counters(), prefix="transport.")
-        registry.counter("consensus.committed_blocks", metrics.committed_blocks())
-        registry.counter("consensus.committed_operations", metrics.committed_operations())
-        registry.counter("consensus.views_recorded", metrics.total_views())
-        registry.counter(
-            "consensus.second_chance_inclusions", metrics.second_chance_inclusions()
-        )
+        registry.fill_consensus(metrics)
         registry.gauge("consensus.average_qc_size", metrics.average_qc_size())
-        histogram = registry.histogram("consensus.commit_latency")
-        for sample in metrics.latency_samples():
-            histogram.record(sample)
         result = dataclass_replace(
             result,
             observability={

@@ -387,8 +387,8 @@ class ScenarioSpec:
     # the fallback).
     optimistic_responsiveness: bool = False
     # Extra ConsensusConfig knobs for baseline schemes (gossip fanout,
-    # Handel levels, Kauri fallback, ablation switches ...), stored as a
-    # sorted tuple of pairs so the spec stays hashable; accepts a mapping.
+    # free-riding, Kauri fallback ...), stored as a sorted tuple of pairs
+    # so the spec stays hashable; accepts a mapping.
     scheme_params: Tuple[Tuple[str, Any], ...] = ()
     committee: CommitteeSpec = field(default_factory=CommitteeSpec)
     topology: TopologySpec = field(default_factory=TopologySpec)

@@ -1,4 +1,4 @@
-"""Integration tests for the Gosig, Handel and Kauri baseline aggregators."""
+"""Integration tests for the Gosig and Kauri baseline aggregators."""
 
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ def _run_crashing(spec, pids):
 # Configuration plumbing
 # ---------------------------------------------------------------------------
 def test_config_accepts_new_schemes():
-    for name in ("gosig", "handel", "kauri"):
+    for name in ("gosig", "kauri"):
         config = ConsensusConfig(aggregation=name)
         assert config.aggregation == name
 
@@ -71,7 +71,7 @@ def test_make_aggregator_resolves_new_names():
     deployment = build_deployment(config)
     names = {replica.aggregator.name for replica in deployment.replicas}
     assert names == {"gosig"}
-    for name in ("handel", "kauri"):
+    for name in ("kauri",):
         deployment = build_deployment(ConsensusConfig(committee_size=7, aggregation=name))
         assert deployment.replicas[0].aggregator.name == name
 
@@ -117,41 +117,6 @@ def test_gosig_free_rider_designation_is_deterministic():
     expected_count = 3
     assert len(riders) in (expected_count - 1, expected_count)
     assert all(pid < expected_count for pid in riders)
-
-
-# ---------------------------------------------------------------------------
-# Handel
-# ---------------------------------------------------------------------------
-def test_handel_commits_blocks_fault_free():
-    result = _run("handel", handel_peers_per_level=3)
-    assert result.committed_blocks > 5
-    assert result.average_qc_size >= ConsensusConfig(committee_size=9).quorum_size
-
-
-def test_handel_level_partition_is_symmetric():
-    config = ConsensusConfig(committee_size=16, aggregation="handel")
-    deployment = build_deployment(config)
-    deployment.start()
-    deployment.simulator.run(until=0.1)
-    replica = deployment.replicas[0]
-    block = next(block for block in replica.blocks.values() if not block.is_genesis)
-    aggregator = replica.aggregator
-    assert aggregator.num_levels() == 4
-    for level in range(1, 5):
-        peers = aggregator.level_peers(block, level)
-        assert len(peers) == 2 ** (level - 1)
-        assert replica.process_id not in peers
-        # Symmetry: if q is a level-l peer of p, then p is a level-l peer of q.
-        for peer in peers:
-            back = deployment.replicas[peer].aggregator.level_peers(block, level)
-            assert replica.process_id in back
-    with pytest.raises(ValueError):
-        aggregator.level_peers(block, 0)
-
-
-def test_handel_survives_crash_faults():
-    result = _run_crashing(_spec("handel"), [8])
-    assert result.committed_blocks > 0
 
 
 # ---------------------------------------------------------------------------

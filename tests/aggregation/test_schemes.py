@@ -25,7 +25,7 @@ from repro.experiments.runner import build_deployment
 from repro.simnet.events import Simulator
 from repro.simnet.network import Network
 
-SCHEMES = ["star", "tree", "iniva", "kauri", "gosig", "handel"]
+SCHEMES = ["star", "tree", "iniva", "kauri", "gosig"]
 
 
 def make_replica(aggregation="iniva"):
@@ -103,7 +103,7 @@ def counted_signers(state):
         return set(state.shares)
     if hasattr(state, "included"):  # tree, iniva, kauri
         return set(state.included)
-    return set(state.aggregate.signers)  # gosig, handel
+    return set(state.aggregate.signers)  # gosig
 
 
 class TestAggregatorStateHandling:

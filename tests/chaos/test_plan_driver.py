@@ -18,7 +18,6 @@ from repro.scenarios.engine import attach_chaos, compile_scenario
 from repro.scenarios.presets import load_preset
 from repro.simnet.events import Simulator
 from repro.simnet.failures import PartitionEvent
-from repro.simnet.latency import ConstantLatency
 from repro.simnet.network import Network
 from repro.simnet.process import Process
 
@@ -31,7 +30,7 @@ def test_plan_from_partition_preset():
     assert len(plan.partitions) == 1
     assert plan.partitions[0].heal_at is not None
     assert not plan.crashes and not plan.attackers
-    assert plan.shapes_traffic  # the latency model always shapes
+    assert plan.latency_model is not None  # the latency model always shapes
 
 
 def test_plan_from_omission_preset_is_deterministic():
@@ -193,7 +192,9 @@ def test_driver_corrupts_attacker_replicas():
             assert node.replica.aggregator.victim == plan.victim
 
 
-def test_shaper_only_built_when_needed():
+def test_bare_plan_node_enqueues_at_once():
+    """A plan with no latency, loss or bandwidth shapes nothing: every send
+    goes straight to the fabric, undelayed, without touching the RNG."""
     from repro.crypto import run_scheme
     from repro.crypto.keys import Committee
     from repro.runtime.live import LiveNode
@@ -201,10 +202,16 @@ def test_shaper_only_built_when_needed():
     compiled = compile_scenario(load_preset("rack-baseline").quick())
     config = compiled.config
     committee = Committee(run_scheme(config.signature_scheme), config.committee_size, seed=1)
-    bare = replace(compiled, plan=_plan())
-    assert LiveNode(0, bare, committee, epoch=0.0).shaper is None
-    shaped = replace(compiled, plan=_plan(latency_model=ConstantLatency(0.001)))
-    assert LiveNode(0, shaped, committee, epoch=0.0).shaper is not None
+    node = LiveNode(0, replace(compiled, plan=_plan()), committee, epoch=0.0)
+    rng_state = node.shaper.rng.getstate()
+    enqueued = []
+    node._enqueue = lambda dst, message: enqueued.append((dst, message))
+    for dst in (1, 2, 1):
+        node.transport_send(dst, f"to-{dst}", 64)
+    assert enqueued == [(1, "to-1"), (2, "to-2"), (1, "to-1")]
+    assert node.counters["messages_delayed"] == 0
+    assert node.counters["messages_dropped"] == 0
+    assert node.shaper.rng.getstate() == rng_state
 
 
 def test_plan_compiles_for_every_builtin_preset():

@@ -235,10 +235,6 @@ class TestConsensusConfig:
         assert config.aggregation_timer(1) == pytest.approx(0.010)
         assert config.aggregation_timer(2) == pytest.approx(0.020)
 
-    def test_aggregation_timer_override(self):
-        config = ConsensusConfig(aggregation_timeout=0.003)
-        assert config.aggregation_timer(2) == pytest.approx(0.006)
-
     def test_with_override(self):
         config = ConsensusConfig()
         other = config.with_(batch_size=800, aggregation="star")
@@ -252,15 +248,13 @@ class TestConsensusConfig:
         with pytest.raises(ValueError):
             ConsensusConfig(aggregation="gossip")
         with pytest.raises(ValueError):
+            ConsensusConfig(aggregation="handel")
+        with pytest.raises(ValueError):
             ConsensusConfig(batch_size=0)
         with pytest.raises(ValueError):
             ConsensusConfig(payload_size=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'batch_deadline'"):
             ConsensusConfig(batch_deadline=-0.001)
-
-    def test_batch_deadline_defaults_off(self):
-        assert ConsensusConfig().batch_deadline == 0.0
-        assert ConsensusConfig(batch_deadline=0.002).batch_deadline == 0.002
 
     def test_describe_mentions_key_parameters(self):
         text = ConsensusConfig(aggregation="iniva", committee_size=21).describe()

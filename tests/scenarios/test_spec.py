@@ -130,7 +130,10 @@ class TestRoundTrips:
             )
 
     @pytest.mark.parametrize(
-        "removed", ["batch_verification", "verification_offload", "wait_for_all_votes", "churn"]
+        "removed",
+        ["batch_verification", "verification_offload", "wait_for_all_votes", "churn",
+         "batch_deadline", "aggregation_timeout", "gossip_interval", "handel_level_delay",
+         "handel_peers_per_level"],
     )
     def test_removed_knobs_rejected_by_name(self, removed):
         with pytest.raises(ValueError, match=f"unknown scenario keys.*{removed}"):

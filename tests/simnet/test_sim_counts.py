@@ -16,6 +16,11 @@ crash-from-start shape does not reach: four simultaneous restarts
 network RNG in the order they fire), a partition that heals
 (``partition-heal``) and an omission cartel (``omission-cartel``).
 
+Two fault-free quick ``rack-baseline`` runs under ``gosig`` pin the
+verify-and-merge gossip aggregator, once with honest aggregators and once
+with 30 % free-riders (who forward only their own share and skip the
+merge).
+
 To regenerate ``golden_sim_counts.json`` (only for a deliberate behaviour
 change, with the reason written down): ``PYTHONPATH=src python
 tests/simnet/test_sim_counts.py``.
@@ -43,6 +48,12 @@ FAULT_CASES = {
     .quick(),
     "partition-heal/quick": lambda: load_preset("partition-heal").quick(),
     "omission-cartel/quick": lambda: load_preset("omission-cartel").quick(),
+}
+GOSIG_CASES = {
+    "gosig/quick": lambda: load_preset("rack-baseline").with_(aggregation="gosig").quick(),
+    "gosig-free-riders/quick": lambda: load_preset("rack-baseline")
+    .with_(aggregation="gosig", scheme_params={"free_rider_fraction": 0.3})
+    .quick(),
 }
 
 
@@ -100,11 +111,18 @@ def test_fault_counts_match_golden(case):
     assert exact_counts(FAULT_CASES[case]()) == golden[case]
 
 
+@pytest.mark.parametrize("case", sorted(GOSIG_CASES))
+def test_gosig_counts_match_golden(case):
+    golden = json.loads(_GOLDEN_PATH.read_text())
+    assert exact_counts(GOSIG_CASES[case]()) == golden[case]
+
+
 if __name__ == "__main__":
     document = {
         _key(aggregation, seed): exact_counts(_spec(aggregation, seed))
         for aggregation, seed in CASES
     }
-    document.update({case: exact_counts(build()) for case, build in FAULT_CASES.items()})
+    for cases in (FAULT_CASES, GOSIG_CASES):
+        document.update({case: exact_counts(build()) for case, build in cases.items()})
     _GOLDEN_PATH.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
     print(f"wrote {_GOLDEN_PATH}")
