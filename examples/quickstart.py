@@ -29,7 +29,7 @@ QUICK = "--quick" in sys.argv
 
 def multi_signature_demo() -> None:
     print("=== 1. Indivisible multi-signatures ===")
-    scheme = get_scheme("hash")            # use get_scheme("bls") for real pairings
+    scheme = get_scheme("hashsig")         # use get_scheme("bls") for real pairings
     committee = Committee(scheme, size=7, seed=42)
     message = b"vote|example-block|1|1"
 

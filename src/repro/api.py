@@ -74,7 +74,7 @@ def resolve_spec(spec_or_preset: SpecLike) -> ScenarioSpec:
     """Turn any accepted description of a run into a :class:`ScenarioSpec`.
 
     Accepts a spec instance (returned as-is), a plain mapping
-    (``ScenarioSpec.from_dict``), a path to a JSON/YAML spec file, or a
+    (``ScenarioSpec.from_dict``), a path to a JSON spec file, or a
     string — preset names always win over same-named local files so a
     stray directory can't shadow the catalogue.
     """
@@ -89,7 +89,7 @@ def resolve_spec(spec_or_preset: SpecLike) -> ScenarioSpec:
         return load_preset(name)
     if os.path.isfile(name):
         return ScenarioSpec.load(name)
-    if name.lower().endswith((".json", ".yaml", ".yml")):
+    if name.lower().endswith(".json"):
         raise FileNotFoundError(f"scenario spec file not found: {name}")
     return load_preset(name)  # raises KeyError listing the catalogue
 

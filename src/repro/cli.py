@@ -12,9 +12,9 @@ writing any code::
     python -m repro run --scheme iniva --replicas 21 --faults 2 --duration 3
     python -m repro scenario --list
     python -m repro scenario partition-heal --quick
-    python -m repro scenario my_campaign.yaml --output-dir results/
+    python -m repro scenario my_campaign.json --output-dir results/
     python -m repro live rack-baseline --quick
-    python -m repro live my_campaign.yaml --duration 5 --procs 4
+    python -m repro live my_campaign.json --duration 5 --procs 4
     python -m repro trace omission-cartel --quick
     python -m repro trace rack-baseline --runtime live --output-dir traces/
     python -m repro sweep rack-baseline --set aggregation=star,iniva --quick
@@ -29,7 +29,7 @@ metrics, per-replica transport counters) for ``run``/``scenario``/
 ``live``, a run-result *list* document for ``sweep``, and the
 ``repro.figure/1`` document for the figure commands.  ``scenario`` and
 ``live`` accept either a built-in preset name (see ``scenario --list``)
-or a path to a JSON/YAML spec file (see :mod:`repro.scenarios`);
+or a path to a JSON spec file (see :mod:`repro.scenarios`);
 ``live`` executes the spec on the asyncio localhost-TCP cluster instead
 of the simulator — including the adversarial and WAN presets, whose
 partitions, loss, latency/bandwidth shaping, crash-restart churn and
@@ -54,7 +54,6 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    parse_scalar,
 )
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spec",
         nargs="?",
         default=None,
-        help="built-in preset name or path to a .json/.yaml scenario spec",
+        help="built-in preset name or path to a .json scenario spec",
     )
     scenario_parser.add_argument(
         "--list", action="store_true", dest="list_presets", help="list the built-in presets"
@@ -148,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with chaos fault injection for adversarial/WAN specs)",
     )
     live_parser.add_argument(
-        "spec", help="built-in preset name or path to a .json/.yaml scenario spec"
+        "spec", help="built-in preset name or path to a .json scenario spec"
     )
     live_parser.add_argument(
         "--quick", action="store_true",
@@ -198,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and a Perfetto-loadable Chrome trace)",
     )
     trace_parser.add_argument(
-        "spec", help="built-in preset name or path to a .json/.yaml scenario spec"
+        "spec", help="built-in preset name or path to a .json scenario spec"
     )
     trace_parser.add_argument(
         "--runtime", choices=["sim", "live"], default="sim",
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run one scenario per grid cell (cartesian --set product)"
     )
     sweep_parser.add_argument(
-        "spec", help="base spec: built-in preset name or path to a .json/.yaml file"
+        "spec", help="base spec: built-in preset name or path to a .json file"
     )
     sweep_parser.add_argument(
         "--set",
@@ -322,7 +321,7 @@ def _command_scenario_list() -> str:
     lines.append("")
     lines.append("Run one with `python -m repro scenario <name> [--quick]` (simulated)")
     lines.append("or `python -m repro live <name> [--quick]` (asyncio TCP cluster), or")
-    lines.append("pass a path to a JSON/YAML spec file (format: repro.scenarios.ScenarioSpec).")
+    lines.append("pass a path to a JSON spec file (format: repro.scenarios.ScenarioSpec).")
     return "\n".join(lines)
 
 
@@ -435,8 +434,23 @@ def _parse_sweep_grid(assignments: List[str]) -> Dict[str, List[Any]]:
         field = field.strip()
         if not separator or not field or not values.strip():
             raise SystemExit(f"error: --set expects FIELD=V1[,V2,...], got {assignment!r}")
-        grid[field] = [parse_scalar(value) for value in values.split(",")]
+        grid[field] = [_sweep_value(value) for value in values.split(",")]
     return grid
+
+
+def _sweep_value(text: str) -> Any:
+    """One ``--set`` value: int, float, ``true``/``false``, ``null``, or
+    else the bare string."""
+    text = text.strip()
+    keywords = {"true": True, "false": False, "null": None}
+    if text in keywords:
+        return keywords[text]
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _sweep_artifact(

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.crypto.keys import bft_quorum
+from repro.crypto.multisig import scheme_names
 from repro.simnet.process import CpuCostModel
 
 __all__ = ["ConsensusConfig"]
@@ -36,9 +37,8 @@ class ConsensusConfig:
         view_timeout: Pacemaker timeout after which a view is abandoned.
         leader_policy: ``"round-robin"`` or ``"carousel"``.
         signature_scheme: ``"hashsig"`` (additive fast simulation, the
-            default for sweeps), ``"hash"`` (dictionary-carrying fast
-            simulation) or ``"bls"`` (real pairings, the correctness
-            reference).
+            default for sweeps) or ``"bls"`` (real pairings, the
+            correctness reference).
         seed: Seed for the shuffle/latency randomness.
         cpu_model: CPU cost model for signatures and message handling.
     """
@@ -81,15 +81,12 @@ class ConsensusConfig:
     #: All registered vote aggregation schemes accepted by ``aggregation``.
     SUPPORTED_AGGREGATIONS = frozenset({"star", "tree", "iniva", "gosig", "kauri"})
 
-    #: All registered multi-signature backends accepted by ``signature_scheme``.
-    SUPPORTED_SIGNATURES = frozenset({"hashsig", "hash", "bls"})
-
     def __post_init__(self) -> None:
         if self.committee_size < 4:
             raise ValueError("need at least four replicas for BFT consensus")
         if self.aggregation not in self.SUPPORTED_AGGREGATIONS:
             raise ValueError(f"unknown aggregation scheme {self.aggregation!r}")
-        if self.signature_scheme not in self.SUPPORTED_SIGNATURES:
+        if self.signature_scheme not in scheme_names():
             raise ValueError(f"unknown signature scheme {self.signature_scheme!r}")
         if self.batch_size <= 0:
             raise ValueError("batch size must be positive")

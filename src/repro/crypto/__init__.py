@@ -6,7 +6,7 @@ The paper relies on an *indivisible* multi-signature scheme (BLS) in which
 * the same signature may be included with a *multiplicity* larger than one,
 * it is infeasible to remove an individual signature from an aggregate.
 
-Three interchangeable backends implement the
+Two interchangeable backends implement the
 :class:`~repro.crypto.multisig.MultiSignatureScheme` interface:
 
 ``BlsMultiSig``
@@ -21,12 +21,6 @@ Three interchangeable backends implement the
     SHA-256 accumulator with identical aggregation and multiplicity
     semantics but O(1) folding cost and no pairing math.  *Not*
     cryptographically secure.
-
-``HashMultiSig``
-    The earlier deterministic simulation backend, kept for its
-    dictionary-style aggregate values (every share travels with the
-    aggregate).  It is *not* cryptographically secure and is clearly
-    documented as a simulation substitute (see DESIGN.md).
 """
 
 from repro.crypto.keys import Committee, KeyPair
@@ -39,7 +33,6 @@ from repro.crypto.multisig import (
     normalize_contributions,
     run_scheme,
 )
-from repro.crypto.hash_backend import HashMultiSig
 from repro.crypto.bls import BlsMultiSig
 from repro.crypto.params import CurveParams, DEFAULT_PARAMS, TOY_PARAMS
 
@@ -49,7 +42,6 @@ __all__ = [
     "Committee",
     "CurveParams",
     "DEFAULT_PARAMS",
-    "HashMultiSig",
     "HashSigMultiSig",
     "KeyPair",
     "MultiSignatureScheme",

@@ -27,6 +27,7 @@ __all__ = [
     "HashSigMultiSig",
     "get_scheme",
     "register_scheme",
+    "scheme_names",
     "run_scheme",
     "normalize_contributions",
     "combined_multiplicities",
@@ -247,10 +248,9 @@ class HashSigMultiSig(MultiSignatureScheme):
       accumulator is verified against the full multiplicity map, which
       mirrors the indivisibility assumption.
 
-    Compared to :class:`repro.crypto.hash_backend.HashMultiSig` this
-    backend does no per-aggregate re-hashing and carries no per-signer
-    share dictionary, making aggregation O(1) per contribution — it is
-    the default for large experiment sweeps.  **Not cryptographically
+    Aggregation is O(1) per contribution: no per-aggregate re-hashing
+    and no per-signer share dictionary — it is the default for large
+    experiment sweeps.  **Not cryptographically
     secure**: shares are derivable from public data; use ``bls`` as the
     correctness reference.
     """
@@ -421,19 +421,23 @@ def register_scheme(cls: type) -> type:
     return cls
 
 
+def scheme_names() -> List[str]:
+    """The names :func:`get_scheme` accepts, sorted."""
+    return sorted(_SCHEME_REGISTRY)
+
+
 def get_scheme(name: str, **kwargs: Any) -> MultiSignatureScheme:
     """Instantiate a registered multi-signature backend by name.
 
     Args:
-        name: ``"hashsig"`` for the additive fast-simulation backend,
-            ``"hash"`` for the dictionary-carrying hash backend, or
+        name: ``"hashsig"`` for the additive fast-simulation backend or
             ``"bls"`` for the pairing-based backend.
         **kwargs: Forwarded to the backend constructor.
     """
     try:
         cls = _SCHEME_REGISTRY[name]
     except KeyError as exc:
-        known = ", ".join(sorted(_SCHEME_REGISTRY))
+        known = ", ".join(scheme_names())
         raise KeyError(f"unknown multi-signature scheme {name!r}; known: {known}") from exc
     return cls(**kwargs)
 

@@ -13,55 +13,18 @@ needs.
 
 The default parameter set uses a 512-bit prime ``p`` and a 160-bit prime
 group order ``r``; a tiny toy set is provided for fast property-based
-tests.  Both sets were produced by :func:`generate_params`, which is kept
-in the library so users can regenerate or strengthen the parameters.
+tests.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass
 
 __all__ = [
     "CurveParams",
     "DEFAULT_PARAMS",
     "TOY_PARAMS",
-    "generate_params",
-    "is_probable_prime",
 ]
-
-
-def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test.
-
-    Uses ``rounds`` random bases; for the sizes used here the error
-    probability is negligible (< 2^-80).
-    """
-    if n < 2:
-        return False
-    small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    for sp in small_primes:
-        if n % sp == 0:
-            return n == sp
-    rng = rng or random.Random(0xC0FFEE ^ (n & 0xFFFFFFFF))
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -98,7 +61,8 @@ class CurveParams:
         return self.r.bit_length() // 2
 
 
-# Generated with ``generate_params(r_bits=160, p_bits=512, seed=20240404)``.
+# Both parameter sets are fixed values; tests/crypto/test_params.py checks
+# their primality, congruences, cofactor relation and generator order.
 DEFAULT_PARAMS = CurveParams(
     p=int(
         "0x8ca1771b886fb6e1b1293a432647f84448b24d4b899d5d59c49b09853abf40f7"
@@ -124,7 +88,6 @@ DEFAULT_PARAMS = CurveParams(
     name="ss512",
 )
 
-# Generated with ``generate_params(r_bits=64, p_bits=128, seed=7)``.
 TOY_PARAMS = CurveParams(
     p=int("0xbc4f002495471f27d794f45c070e8d0f", 16),
     r=int("0xf2a74de452e6b551", 16),
@@ -133,90 +96,3 @@ TOY_PARAMS = CurveParams(
     gy=int("0x645a16e201ed823b4d3cdf27f868453d", 16),
     name="toy128",
 )
-
-
-def _next_prime(n: int) -> int:
-    n += 1
-    while not is_probable_prime(n):
-        n += 1
-    return n
-
-
-def generate_params(r_bits: int = 160, p_bits: int = 512, seed: int = 0) -> CurveParams:
-    """Search for fresh supersingular curve parameters.
-
-    The search picks a random ``r_bits``-bit prime ``r`` and then looks for
-    an even cofactor ``h`` such that ``p = h * r - 1`` is prime with
-    ``p = 2 (mod 3)`` and ``p = 3 (mod 4)``.  A generator of the order-``r``
-    subgroup is found by hashing x-coordinates onto the curve and clearing
-    the cofactor.
-
-    Args:
-        r_bits: Bit length of the prime subgroup order.
-        p_bits: Bit length of the field prime.
-        seed: Seed for the deterministic search.
-
-    Returns:
-        A fully populated :class:`CurveParams`.
-    """
-    if p_bits <= r_bits + 8:
-        raise ValueError("p_bits must exceed r_bits by a reasonable margin")
-    rng = random.Random(seed)
-    r = _next_prime(rng.getrandbits(r_bits) | (1 << (r_bits - 1)))
-    h_bits = p_bits - r_bits
-    while True:
-        h = (rng.getrandbits(h_bits) | (1 << (h_bits - 1))) & ~1
-        p = h * r - 1
-        if p % 3 != 2 or p % 4 != 3:
-            continue
-        if is_probable_prime(p):
-            break
-    gx, gy = _find_subgroup_generator(p, r, h)
-    return CurveParams(p=p, r=r, cofactor=h, gx=gx, gy=gy, name=f"gen{p_bits}")
-
-
-def _find_subgroup_generator(p: int, r: int, h: int) -> tuple[int, int]:
-    """Find an affine point of exact order ``r`` on ``y^2 = x^3 + 1``."""
-
-    def sqrt_mod(a: int) -> int | None:
-        a %= p
-        root = pow(a, (p + 1) // 4, p)
-        return root if root * root % p == a else None
-
-    def add(P, Q):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2 and (y1 + y2) % p == 0:
-            return None
-        if P == Q:
-            lam = (3 * x1 * x1) * pow(2 * y1, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        y3 = (lam * (x1 - x3) - y1) % p
-        return (x3, y3)
-
-    def mul(k, P):
-        result = None
-        addend = P
-        while k:
-            if k & 1:
-                result = add(result, addend)
-            addend = add(addend, addend)
-            k >>= 1
-        return result
-
-    counter = 0
-    while True:
-        digest = hashlib.sha256(f"iniva-generator-{counter}".encode()).digest()
-        x = int.from_bytes(digest * ((p.bit_length() // 256) + 1), "big") % p
-        y = sqrt_mod(x * x * x + 1)
-        if y is not None:
-            point = mul(h, (x, y))
-            if point is not None and mul(r, point) is None:
-                return point
-        counter += 1

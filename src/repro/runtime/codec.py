@@ -10,10 +10,9 @@ dependency: a one-byte type tag per value, big-endian fixed-width lengths
 and arbitrary-precision signed integers (BLS coordinates are 512-bit).
 
 Signature *values* are backend-specific opaque objects; the codec covers
-all three registered backends:
+both registered backends:
 
 * ``hashsig`` — plain ints and :class:`_HashSigAggregateValue` wrappers;
-* ``hash`` — bytes digests and ``{"digest": ..., "shares": {...}}`` dicts;
 * ``bls`` — affine curve :class:`~repro.crypto.curve.Point` s.  Curve
   parameters do not travel with every point: both ends derive them from
   the shared :class:`~repro.scenarios.spec.ScenarioSpec`, so the decoder

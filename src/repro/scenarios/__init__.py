@@ -10,7 +10,7 @@ simulator run:
     >>> result.summary()["messages_blocked"] > 0
     True
 
-Specs round-trip through dicts, JSON and YAML-lite files, so campaigns
+Specs round-trip through dicts and JSON files, so campaigns
 live in version control instead of copy-pasted Python; the built-in
 catalogue (``python -m repro scenario --list``) covers WAN spreads,
 partitions, crash storms, crash-restart, lossy links, bandwidth crunches,
@@ -37,7 +37,6 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    parse_yaml_lite,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "build_scenario_deployment",
     "compile_scenario",
     "load_preset",
-    "parse_yaml_lite",
     "preset_names",
     "run_scenario",
 ]

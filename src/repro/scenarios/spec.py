@@ -4,22 +4,19 @@ A :class:`ScenarioSpec` is one complete experiment description: committee
 size, network topology and link capacity, crash/partition schedules, a
 Byzantine strategy mix and the client workload.  Specs are plain frozen
 dataclasses so they can be built in code, round-tripped through
-dictionaries, or loaded from JSON or YAML-lite files — and then compiled
-into a configured simulator run by :mod:`repro.scenarios.engine`.
+dictionaries, or loaded from JSON files — and then compiled into a
+configured simulator run by :mod:`repro.scenarios.engine`.  A spec file
+is the JSON form of :meth:`ScenarioSpec.to_dict`::
 
-The YAML-lite dialect (no external dependency) supports nested mappings
-by indentation, ``- `` block lists, inline ``[a, b, [c]]`` lists, comments
-and the usual scalars; it covers everything a scenario file needs::
-
-    name: my-wan
-    topology:
-      kind: wan
-      regions: 3
-    faults:
-      partitions:
-        - at: 1.0
-          heal_at: 2.0
-          groups: [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+    {
+      "name": "my-wan",
+      "topology": {"kind": "wan", "regions": 3},
+      "faults": {
+        "partitions": [
+          {"at": 1.0, "heal_at": 2.0, "groups": [[0, 1, 2, 3, 4], [5, 6, 7, 8]]}
+        ]
+      }
+    }
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.simnet.failures import PartitionEvent
 
@@ -41,8 +38,6 @@ __all__ = [
     "ScenarioSpec",
     "TopologySpec",
     "WorkloadSpec",
-    "parse_scalar",
-    "parse_yaml_lite",
 ]
 
 
@@ -622,17 +617,12 @@ class ScenarioSpec:
         return cls.from_dict(json.loads(text))
 
     @classmethod
-    def from_yaml(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(parse_yaml_lite(text))
-
-    @classmethod
     def load(cls, path: Union[str, Path]) -> "ScenarioSpec":
-        """Load a spec file; the format follows the file extension."""
+        """Load a ``.json`` spec file."""
         path = Path(path)
-        text = path.read_text(encoding="utf-8")
-        if path.suffix.lower() == ".json":
-            return cls.from_json(text)
-        return cls.from_yaml(text)
+        if path.suffix.lower() != ".json":
+            raise ValueError(f"scenario spec files are JSON (*.json), got {str(path)!r}")
+        return cls.from_json(path.read_text(encoding="utf-8"))
 
 
 def _spec_to_dict(spec: Any) -> Dict[str, Any]:
@@ -686,199 +676,3 @@ def _fault_spec_from_dict(data: Mapping[str, Any]) -> FaultSpec:
             )
     spec = _spec_from_dict(FaultSpec, data)
     return replace(spec, partitions=tuple(events))
-
-
-# ---------------------------------------------------------------------------
-# YAML-lite parser
-# ---------------------------------------------------------------------------
-def parse_yaml_lite(text: str) -> Dict[str, Any]:
-    """Parse the YAML subset scenario files use into nested dicts/lists.
-
-    Supported: nested mappings by indentation, ``- `` block lists (scalar
-    items or inline maps with continuation lines), inline ``[...]`` lists
-    (arbitrarily nested), ``#`` comments, quoted strings and the scalars
-    int / float / bool / null.  Anchors, multi-line strings and flow
-    mappings are deliberately out of scope.
-    """
-    lines: List[Tuple[int, str]] = []
-    for raw in text.splitlines():
-        stripped = _strip_comment(raw)
-        if not stripped.strip():
-            continue
-        indent = len(stripped) - len(stripped.lstrip(" "))
-        lines.append((indent, stripped.strip()))
-    if not lines:
-        return {}
-    value, index = _parse_block(lines, 0, lines[0][0])
-    if index != len(lines):
-        raise ValueError(f"could not parse line: {lines[index][1]!r}")
-    if not isinstance(value, dict):
-        raise ValueError("top level of a scenario file must be a mapping")
-    return value
-
-
-def _strip_comment(line: str) -> str:
-    in_quote: Optional[str] = None
-    # A quote only *opens* a string where a scalar can start (after ':',
-    # ',', '[' or '-', or at the start of the line) — an apostrophe inside
-    # a bare word like ``it's`` must not swallow a trailing comment.
-    previous = None
-    for position, char in enumerate(line):
-        if in_quote:
-            if char == in_quote:
-                in_quote = None
-                previous = char
-            continue
-        if char in "\"'" and previous in (None, ":", ",", "[", "-"):
-            in_quote = char
-        elif char == "#":
-            return line[:position]
-        if not char.isspace():
-            previous = char
-    return line
-
-
-def _parse_block(lines: List[Tuple[int, str]], index: int, indent: int) -> Tuple[Any, int]:
-    if lines[index][1].startswith("- "):
-        return _parse_list(lines, index, indent)
-    return _parse_map(lines, index, indent)
-
-
-def _parse_map(lines: List[Tuple[int, str]], index: int, indent: int) -> Tuple[Dict[str, Any], int]:
-    result: Dict[str, Any] = {}
-    while index < len(lines):
-        line_indent, content = lines[index]
-        if line_indent < indent:
-            break
-        if line_indent > indent:
-            raise ValueError(f"unexpected indentation at: {content!r}")
-        if content.startswith("- "):
-            break
-        if ":" not in content:
-            raise ValueError(f"expected 'key: value' at: {content!r}")
-        key, _, rest = content.partition(":")
-        key = key.strip()
-        rest = rest.strip()
-        if rest:
-            result[key] = _parse_scalar(rest)
-            index += 1
-        else:
-            index += 1
-            if index < len(lines) and lines[index][0] > indent:
-                result[key], index = _parse_block(lines, index, lines[index][0])
-            else:
-                result[key] = None
-    return result, index
-
-
-def _parse_list(lines: List[Tuple[int, str]], index: int, indent: int) -> Tuple[List[Any], int]:
-    result: List[Any] = []
-    while index < len(lines):
-        line_indent, content = lines[index]
-        if line_indent != indent or not content.startswith("- "):
-            break
-        item_text = content[2:].strip()
-        # The item's own keys sit two columns right of the dash.
-        item_indent = indent + 2
-        if ":" in item_text and not item_text.startswith("["):
-            # Inline first entry of a map item, continuation lines follow.
-            key, _, rest = item_text.partition(":")
-            item: Dict[str, Any] = {}
-            rest = rest.strip()
-            if rest:
-                item[key.strip()] = _parse_scalar(rest)
-                index += 1
-            else:
-                index += 1
-                if index < len(lines) and lines[index][0] > item_indent:
-                    value, index = _parse_block(lines, index, lines[index][0])
-                    item[key.strip()] = value
-                else:
-                    item[key.strip()] = None
-            if index < len(lines) and lines[index][0] == item_indent and not lines[index][1].startswith("- "):
-                more, index = _parse_map(lines, index, item_indent)
-                item.update(more)
-            result.append(item)
-        else:
-            result.append(_parse_scalar(item_text))
-            index += 1
-    return result, index
-
-
-def parse_scalar(text: str) -> Any:
-    """Parse one YAML-lite scalar: quoted string, bool, null, number or
-    inline ``[...]`` list, falling back to the bare string.
-
-    Public because the CLI reuses it for ``sweep --set field=value``
-    parsing, so spec files and sweep cells coerce values identically.
-    """
-    return _parse_scalar(text)
-
-
-def _parse_scalar(text: str) -> Any:
-    text = text.strip()
-    if text.startswith("["):
-        value, position = _parse_inline_list(text, 0)
-        if text[position:].strip():
-            raise ValueError(f"trailing characters after list: {text!r}")
-        return value
-    if len(text) >= 2 and text[0] in "\"'" and text[-1] == text[0]:
-        return text[1:-1]
-    lowered = text.lower()
-    if lowered in ("true", "yes"):
-        return True
-    if lowered in ("false", "no"):
-        return False
-    if lowered in ("null", "none", "~"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _parse_inline_list(text: str, position: int) -> Tuple[List[Any], int]:
-    if text[position] != "[":
-        raise ValueError(f"expected '[' in {text!r}")
-    position += 1
-    items: List[Any] = []
-    current = ""
-
-    def flush() -> None:
-        if current.strip():
-            items.append(_parse_scalar(current))
-
-    in_quote: Optional[str] = None
-    while position < len(text):
-        char = text[position]
-        if in_quote:
-            current += char
-            if char == in_quote:
-                in_quote = None
-            position += 1
-            continue
-        if char in "\"'":
-            in_quote = char
-            current += char
-            position += 1
-            continue
-        if char == "[":
-            nested, position = _parse_inline_list(text, position)
-            items.append(nested)
-            continue
-        if char == "]":
-            flush()
-            return items, position + 1
-        if char == ",":
-            flush()
-            current = ""
-            position += 1
-            continue
-        current += char
-        position += 1
-    raise ValueError(f"unterminated list in {text!r}")

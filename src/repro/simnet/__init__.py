@@ -25,7 +25,6 @@ from repro.simnet.latency import (
     LatencyModel,
     LinkBandwidth,
     NormalLatency,
-    UniformLatency,
 )
 from repro.simnet.metrics import MetricsCollector
 from repro.simnet.network import Network
@@ -50,5 +49,4 @@ __all__ = [
     "RegionMatrixLatency",
     "Simulator",
     "Timer",
-    "UniformLatency",
 ]

@@ -14,7 +14,6 @@ from typing import Dict, Mapping, Optional, Tuple
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "NormalLatency",
     "LinkBandwidth",
 ]
@@ -47,23 +46,6 @@ class ConstantLatency(LatencyModel):
     @property
     def upper_bound(self) -> float:
         return self.delay
-
-
-class UniformLatency(LatencyModel):
-    """Latency drawn uniformly from ``[low, high]``."""
-
-    def __init__(self, low: float = 0.0002, high: float = 0.001) -> None:
-        if not 0 <= low <= high:
-            raise ValueError("require 0 <= low <= high")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng: random.Random, src: int, dst: int) -> float:
-        return rng.uniform(self.low, self.high)
-
-    @property
-    def upper_bound(self) -> float:
-        return self.high
 
 
 class NormalLatency(LatencyModel):

@@ -93,7 +93,6 @@ class MetricsCollector:
         self._view_outcomes: List[tuple[int, bool]] = []
         self._qc_sizes: List[int] = []
         self._second_chance_inclusions = 0
-        self._counters: Dict[str, int] = {}
         self.start_time = 0.0
         self.end_time = 0.0
         #: Optional consensus event tracer (:class:`repro.observe.trace.Tracer`).
@@ -111,16 +110,13 @@ class MetricsCollector:
             self._committed_blocks += 1
             self._committed_ops += operation_count
 
-    def record_latency(self, time: float, latency: float) -> None:
-        if time >= self.warmup:
-            self._latencies.append(latency)
-
     def record_latencies(self, time: float, latencies: List[float]) -> None:
-        """Bulk :meth:`record_latency` — one warmup check for a whole batch.
+        """Record a block's per-request latency samples (seconds) — one
+        warmup check for the whole batch.
 
         Commit handlers record a latency sample per request in the block;
-        at batch sizes in the hundreds the per-call overhead is measurable
-        on the live hot path, so they hand the whole batch over as one list.
+        at batch sizes in the hundreds a per-sample call is measurable on
+        the live hot path, so they hand the whole batch over as one list.
         """
         if time >= self.warmup:
             self._latencies.fromlist(latencies)
@@ -133,9 +129,6 @@ class MetricsCollector:
 
     def record_second_chance_inclusion(self, count: int = 1) -> None:
         self._second_chance_inclusions += count
-
-    def increment(self, counter: str, amount: int = 1) -> None:
-        self._counters[counter] = self._counters.get(counter, 0) + amount
 
     def mark_window(self, start_time: float, end_time: float) -> None:
         """Record the measurement window used for rate computations."""
@@ -169,12 +162,6 @@ class MetricsCollector:
         histogram fill reads these at summary time)."""
         return list(self._latencies)
 
-    def failed_view_fraction(self) -> float:
-        if not self._view_outcomes:
-            return 0.0
-        failed = sum(1 for _view, ok in self._view_outcomes if not ok)
-        return failed / len(self._view_outcomes)
-
     def total_views(self) -> int:
         return len(self._view_outcomes)
 
@@ -188,22 +175,3 @@ class MetricsCollector:
 
     def second_chance_inclusions(self) -> int:
         return self._second_chance_inclusions
-
-    def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
-    def summary(self) -> Dict[str, float]:
-        """A flat dictionary of headline metrics (used by the bench harness)."""
-        latency = self.latency_stats()
-        return {
-            "throughput_ops_per_sec": self.throughput(),
-            "committed_operations": float(self.committed_operations()),
-            "committed_blocks": float(self.committed_blocks()),
-            "latency_mean_sec": latency.mean,
-            "latency_p90_sec": latency.p90,
-            "latency_p99_sec": latency.p99,
-            "failed_view_fraction": self.failed_view_fraction(),
-            "total_views": float(self.total_views()),
-            "average_qc_size": self.average_qc_size(),
-            "second_chance_inclusions": float(self.second_chance_inclusions()),
-        }

@@ -18,9 +18,8 @@ from repro.consensus.config import ConsensusConfig
 from repro.consensus.mempool import Mempool
 from repro.consensus.replica import HotStuffReplica
 from repro.core.iniva import InivaAggregator
-from repro.crypto.hash_backend import HashMultiSig
 from repro.crypto.keys import Committee
-from repro.crypto.multisig import AggregateSignature, SignatureShare
+from repro.crypto.multisig import AggregateSignature, HashSigMultiSig, SignatureShare
 from repro.experiments.runner import build_deployment
 from repro.simnet.events import Simulator
 from repro.simnet.network import Network
@@ -32,7 +31,7 @@ def make_replica(aggregation="iniva"):
     config = ConsensusConfig(committee_size=7, aggregation=aggregation)
     simulator = Simulator()
     network = Network(simulator)
-    committee = Committee(HashMultiSig(), 7, seed=1)
+    committee = Committee(HashSigMultiSig(), 7, seed=1)
     return HotStuffReplica(0, simulator, network, committee, config, Mempool())
 
 

@@ -60,7 +60,7 @@ class TestResolveSpec:
 
     def test_missing_spec_file_raises(self):
         with pytest.raises(FileNotFoundError, match="spec file not found"):
-            api.resolve_spec("missing_campaign.yaml")
+            api.resolve_spec("missing_campaign.json")
 
 
 # ---------------------------------------------------------------------------

@@ -61,29 +61,3 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "heavy_crypto" in item.keywords:
             item.add_marker(skip_heavy)
-
-from repro.crypto.bls import BlsMultiSig
-from repro.crypto.hash_backend import HashMultiSig
-from repro.crypto.keys import Committee
-from repro.crypto.params import TOY_PARAMS
-
-
-@pytest.fixture(scope="session")
-def hash_scheme() -> HashMultiSig:
-    return HashMultiSig()
-
-
-@pytest.fixture(scope="session")
-def toy_bls_scheme() -> BlsMultiSig:
-    """BLS over the 128-bit toy curve: real pairings, fast enough for tests."""
-    return BlsMultiSig(TOY_PARAMS)
-
-
-@pytest.fixture(scope="session")
-def hash_committee(hash_scheme) -> Committee:
-    return Committee(hash_scheme, size=7, seed=11)
-
-
-@pytest.fixture(scope="session")
-def bls_committee(toy_bls_scheme) -> Committee:
-    return Committee(toy_bls_scheme, size=4, seed=5)

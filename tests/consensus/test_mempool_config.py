@@ -253,6 +253,8 @@ class TestConsensusConfig:
             ConsensusConfig(batch_size=0)
         with pytest.raises(ValueError):
             ConsensusConfig(payload_size=-1)
+        with pytest.raises(ValueError, match="unknown signature scheme 'hash'"):
+            ConsensusConfig(signature_scheme="hash")
         with pytest.raises(TypeError, match="unexpected keyword argument 'batch_deadline'"):
             ConsensusConfig(batch_deadline=-0.001)
 

@@ -12,7 +12,7 @@ from repro.core.verification import (
     audit_rewards,
     verify_quorum_certificate,
 )
-from repro.crypto.hash_backend import HashMultiSig
+from repro.crypto.multisig import HashSigMultiSig
 from repro.crypto.keys import Committee
 from repro.tree.overlay import AggregationTree
 
@@ -22,7 +22,7 @@ COMMITTEE_SIZE = 13
 
 @pytest.fixture(scope="module")
 def committee() -> Committee:
-    return Committee(HashMultiSig(), size=COMMITTEE_SIZE, seed=7)
+    return Committee(HashSigMultiSig(), size=COMMITTEE_SIZE, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ def test_below_quorum_certificate_is_rejected(committee, tree):
 def test_auditor_holds_certificates_to_the_protocol_quorum():
     # At n = 9 a root finalises at floor(2n/3) + 1 = 7 signers; a certificate
     # of ceil(2n/3) = 6 is one no honest root forms, and the auditor refuses it.
-    committee = Committee(HashMultiSig(), size=9, seed=7)
+    committee = Committee(HashSigMultiSig(), size=9, seed=7)
     tree = AggregationTree.build(committee_size=9, view=4, seed=7, num_internal=2, root=0)
     assert committee.quorum_size() == ConsensusConfig(committee_size=9).quorum_size == 7
     six = _build_qc(committee, tree, omit=tree.leaves[:3])

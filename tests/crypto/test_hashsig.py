@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.bls import BlsMultiSig
 from repro.crypto.keys import Committee
 from repro.crypto.multisig import (
     AggregateSignature,
@@ -9,6 +10,7 @@ from repro.crypto.multisig import (
     SignatureShare,
     get_scheme,
 )
+from repro.crypto.params import TOY_PARAMS
 
 MESSAGE = b"vote|block-7|3|3"
 
@@ -104,13 +106,12 @@ class TestAggregation:
             committee.scheme.aggregate([(foreign, 1)])
 
 
-class TestSemanticsMatchHashBackend:
-    """hashsig must preserve the multiplicity algebra of the hash backend."""
+@pytest.mark.pairing
+class TestSemanticsMatchBls:
+    """hashsig must preserve the multiplicity algebra of BLS, the scheme it models."""
 
     def test_same_multiplicities_for_same_contributions(self, committee):
-        from repro.crypto.hash_backend import HashMultiSig
-
-        other = Committee(HashMultiSig(), size=7, seed=13)
+        other = Committee(BlsMultiSig(TOY_PARAMS), size=7, seed=13)
         contributions_a = [(committee.sign(pid, MESSAGE), 2) for pid in range(4)]
         contributions_b = [(other.sign(pid, MESSAGE), 2) for pid in range(4)]
         agg_a = committee.scheme.aggregate(contributions_a)

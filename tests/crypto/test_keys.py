@@ -3,13 +3,13 @@
 import pytest
 
 from repro.consensus.config import ConsensusConfig
-from repro.crypto.hash_backend import HashMultiSig
+from repro.crypto.multisig import HashSigMultiSig
 from repro.crypto.keys import Committee
 
 
 @pytest.fixture(scope="module")
 def committee():
-    return Committee(HashMultiSig(), size=9, seed=3)
+    return Committee(HashSigMultiSig(), size=9, seed=3)
 
 
 class TestCommittee:
@@ -20,20 +20,20 @@ class TestCommittee:
 
     def test_rejects_empty_committee(self):
         with pytest.raises(ValueError):
-            Committee(HashMultiSig(), size=0)
+            Committee(HashSigMultiSig(), size=0)
 
     def test_keys_are_distinct(self, committee):
         publics = set(committee.public_keys().values())
         assert len(publics) == 9
 
     def test_deterministic_for_seed(self):
-        first = Committee(HashMultiSig(), size=4, seed=7)
-        second = Committee(HashMultiSig(), size=4, seed=7)
+        first = Committee(HashSigMultiSig(), size=4, seed=7)
+        second = Committee(HashSigMultiSig(), size=4, seed=7)
         assert first.public_keys() == second.public_keys()
 
     def test_different_seed_different_keys(self):
-        first = Committee(HashMultiSig(), size=4, seed=7)
-        second = Committee(HashMultiSig(), size=4, seed=8)
+        first = Committee(HashSigMultiSig(), size=4, seed=7)
+        second = Committee(HashSigMultiSig(), size=4, seed=8)
         assert first.public_keys() != second.public_keys()
 
     def test_sign_and_verify_share(self, committee):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.crypto.bls import BlsMultiSig
-from repro.crypto.hash_backend import HashMultiSig
 from repro.crypto.multisig import (
     AggregateSignature,
     HashSigMultiSig,
@@ -11,6 +10,7 @@ from repro.crypto.multisig import (
     combined_multiplicities,
     get_scheme,
     normalize_contributions,
+    scheme_names,
 )
 from repro.crypto.params import TOY_PARAMS
 
@@ -98,16 +98,14 @@ class TestAggregateAcceptsBareShares:
         assert scheme.verify_aggregate(aggregate, message, public)
 
     def test_hash_backends_aggregate_bare_shares(self):
-        for scheme in (HashMultiSig(), HashSigMultiSig()):
-            keys = {pid: scheme.keygen(pid) for pid in range(3)}
-            message = b"bare-shares"
-            shares = [
-                scheme.sign(pair.secret_key, message, pid) for pid, pair in keys.items()
-            ]
-            aggregate = scheme.aggregate(shares)
-            assert aggregate.multiplicities == {0: 1, 1: 1, 2: 1}
-            public = {pid: pair.public_key for pid, pair in keys.items()}
-            assert scheme.verify_aggregate(aggregate, message, public)
+        scheme = HashSigMultiSig()
+        keys = {pid: scheme.keygen(pid) for pid in range(3)}
+        message = b"bare-shares"
+        shares = [scheme.sign(pair.secret_key, message, pid) for pid, pair in keys.items()]
+        aggregate = scheme.aggregate(shares)
+        assert aggregate.multiplicities == {0: 1, 1: 1, 2: 1}
+        public = {pid: pair.public_key for pid, pair in keys.items()}
+        assert scheme.verify_aggregate(aggregate, message, public)
 
 
 class TestAggregateSignature:
@@ -130,7 +128,10 @@ class TestAggregateSignature:
 
 class TestSchemeRegistry:
     def test_get_hash_scheme(self):
-        assert isinstance(get_scheme("hash"), HashMultiSig)
+        # BLS and hashsig, its fast algebraic model; nothing answers to "hash".
+        assert scheme_names() == ["bls", "hashsig"]
+        with pytest.raises(KeyError, match="known: bls, hashsig"):
+            get_scheme("hash")
 
     def test_get_hashsig_scheme(self):
         assert isinstance(get_scheme("hashsig"), HashSigMultiSig)

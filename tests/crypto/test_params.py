@@ -1,14 +1,37 @@
-"""Tests for curve parameter handling and generation."""
+"""Tests for the curve parameters: the fixed constants and their checks."""
+
+import random
 
 import pytest
 
-from repro.crypto.params import (
-    CurveParams,
-    DEFAULT_PARAMS,
-    TOY_PARAMS,
-    generate_params,
-    is_probable_prime,
-)
+from repro.crypto.curve import generator
+from repro.crypto.params import CurveParams, DEFAULT_PARAMS, TOY_PARAMS
+
+
+def is_probable_prime(n: int, rounds: int = 40) -> bool:
+    """Miller-Rabin with ``rounds`` seeded random bases; for the sizes
+    checked here the error probability is negligible (< 2^-80)."""
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % small == 0:
+            return n == small
+    rng = random.Random(0xC0FFEE ^ (n & 0xFFFFFFFF))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for _ in range(rounds):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestPrimality:
@@ -69,23 +92,6 @@ class TestCurveParams:
             rhs = (params.gx ** 3 + 1) % params.p
             assert lhs == rhs
 
-
-class TestGenerateParams:
-    def test_generates_consistent_small_params(self):
-        params = generate_params(r_bits=40, p_bits=96, seed=123)
-        assert is_probable_prime(params.p)
-        assert is_probable_prime(params.r)
-        assert params.p % 3 == 2
-        assert params.p % 4 == 3
-        assert params.cofactor * params.r == params.p + 1
-        # Generator lies on the curve.
-        assert params.gy * params.gy % params.p == (params.gx ** 3 + 1) % params.p
-
-    def test_deterministic_given_seed(self):
-        first = generate_params(r_bits=40, p_bits=96, seed=7)
-        second = generate_params(r_bits=40, p_bits=96, seed=7)
-        assert first == second
-
-    def test_rejects_tight_sizes(self):
-        with pytest.raises(ValueError):
-            generate_params(r_bits=64, p_bits=66)
+    def test_generator_has_order_r(self):
+        for params in (DEFAULT_PARAMS, TOY_PARAMS):
+            assert generator(params).has_order_r()

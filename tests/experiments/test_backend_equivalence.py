@@ -16,9 +16,14 @@ from repro.experiments.runner import build_deployment
 from repro.experiments.workloads import ClientWorkload
 
 DURATION = 0.8
+#: The bls legs of the tree and star baselines are the slowest tests here;
+#: 0.5 virtual seconds still commit over 100 blocks in each.
+BASELINE_DURATION = 0.5
 
 
-def run_backend(signature_scheme: str, aggregation: str = "iniva", seed: int = 3):
+def run_backend(
+    signature_scheme: str, aggregation: str = "iniva", seed: int = 3, duration: float = DURATION
+):
     config = ConsensusConfig(
         committee_size=7,
         batch_size=20,
@@ -28,9 +33,9 @@ def run_backend(signature_scheme: str, aggregation: str = "iniva", seed: int = 3
     )
     deployment = build_deployment(config, warmup=0.2)
     workload = ClientWorkload(rate=1500, payload_size=32)
-    workload.attach(deployment.simulator, deployment.mempool, DURATION)
+    workload.attach(deployment.simulator, deployment.mempool, duration)
     deployment.start()
-    deployment.simulator.run(until=DURATION)
+    deployment.simulator.run(until=duration)
     return deployment
 
 
@@ -64,21 +69,19 @@ def decision_snapshot(deployment):
 
 @pytest.mark.pairing
 def test_bls_and_hashsig_finalize_identically():
-    # Real pairings in a full simulation are costly, so tier-1 pins the
-    # equivalence on the paper's protocol; the cross-aggregation coverage
-    # below uses the two fast backends.
     bls = decision_snapshot(run_backend("bls", aggregation="iniva"))
     hashsig = decision_snapshot(run_backend("hashsig", aggregation="iniva"))
     assert bls["committed"], "the bls run must commit at least one block"
     assert bls == hashsig
 
 
-@pytest.mark.parametrize("aggregation", ["iniva", "tree", "star"])
-def test_hash_and_hashsig_finalize_identically(aggregation):
-    hash_run = decision_snapshot(run_backend("hash", aggregation=aggregation))
-    hashsig_run = decision_snapshot(run_backend("hashsig", aggregation=aggregation))
-    assert hashsig_run["committed"]
-    assert hash_run == hashsig_run
+@pytest.mark.pairing
+@pytest.mark.parametrize("aggregation", ["tree", "star"])
+def test_bls_and_hashsig_finalize_identically_on_baselines(aggregation):
+    bls = decision_snapshot(run_backend("bls", aggregation, duration=BASELINE_DURATION))
+    hashsig = decision_snapshot(run_backend("hashsig", aggregation, duration=BASELINE_DURATION))
+    assert bls["blocks"] >= 100
+    assert bls == hashsig
 
 
 def test_distinct_seeds_differ():

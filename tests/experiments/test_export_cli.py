@@ -190,3 +190,13 @@ def test_cli_run_with_faults(capsys):
 def test_cli_rejects_unknown_scheme():
     with pytest.raises(SystemExit):
         main(["run", "--scheme", "smoke-signals"])
+
+
+def test_cli_sweep_set_values_are_coerced():
+    from repro.cli import _parse_sweep_grid
+
+    grid = _parse_sweep_grid(["workload.rate=4,0.5,true,null,star", "aggregation= star ,iniva"])
+    assert grid == {"workload.rate": [4, 0.5, True, None, "star"], "aggregation": ["star", "iniva"]}
+    assert [type(value) for value in grid["workload.rate"]] == [int, float, bool, type(None), str]
+    with pytest.raises(SystemExit, match="FIELD=V1"):
+        _parse_sweep_grid(["aggregation"])

@@ -63,7 +63,6 @@ from repro.runtime.net import read_frame
 
 BACKENDS = [
     ("hashsig", {}, None),
-    ("hash", {}, None),
     ("bls", {"params": TOY_PARAMS}, TOY_PARAMS),
 ]
 
@@ -538,18 +537,21 @@ def test_read_only_multiplicity_mapping_encodes_like_a_dict():
 # Malformed input: only CodecError escapes decode
 # ---------------------------------------------------------------------------
 def test_mutated_frames_raise_only_codec_error():
-    # Seeded 1-3 byte flips over four valid frames.  Corrupt bytes reach
+    # Seeded 1-3 byte flips over five valid frames.  Corrupt bytes reach
     # the UTF-8 decoder, dict-key hashing and record constructors with
     # values of the wrong shape; none of that may surface as anything but
-    # CodecError (callers catch nothing else).
-    _, shares, aggregate, qc, block = _fixtures("hash", {})
+    # CodecError (callers catch nothing else).  The last frame carries a
+    # ``bytes`` value, a codec primitive no backend's signatures use.
+    _, shares, aggregate, qc, block = _fixtures("hashsig", {})
     codec = WireCodec()
     vote = SignatureMessage(block_id=block.block_id, view=4, signature=shares[3])
+    opaque = SignatureShare(signer=1, value=bytes(range(32)))
     frames = [
         codec.encode(ProposalMessage(block)),
         codec.encode(AckMessage(block_id=block.block_id, view=4, aggregate=aggregate)),
         codec.encode(SessionEnvelope(seq=9, messages=(Routed(src=3, dst=0, message=vote),))),
         codec.encode(FrameBatch((ClientReject(request_id=99), ClientReply(request_id=7)))),
+        codec.encode(SecondChanceReply(block_id=block.block_id, view=4, signature=opaque)),
     ]
     rng = random.Random(24)
     rejected = 0

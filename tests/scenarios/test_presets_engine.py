@@ -151,15 +151,10 @@ class TestScenarioCli:
         assert (out_dir / "scenario-partition-heal.json").exists()
 
     def test_scenario_from_spec_file(self, tmp_path, capsys):
-        spec_path = tmp_path / "campaign.yaml"
+        spec_path = tmp_path / "campaign.json"
         spec_path.write_text(
-            "name: file-campaign\n"
-            "duration: 1.0\n"
-            "warmup: 0.1\n"
-            "committee:\n"
-            "  size: 7\n"
-            "workload:\n"
-            "  rate: 1500\n"
+            '{"name": "file-campaign", "duration": 1.0, "warmup": 0.1,'
+            ' "committee": {"size": 7}, "workload": {"rate": 1500}}'
         )
         assert main(["scenario", str(spec_path), "--quick", "--format", "json"]) == 0
         assert "file-campaign" in capsys.readouterr().out
@@ -170,7 +165,7 @@ class TestScenarioCli:
 
     def test_scenario_missing_spec_file_raises_cleanly(self):
         with pytest.raises(FileNotFoundError, match="spec file not found"):
-            main(["scenario", "typo_campaign.yaml"])
+            main(["scenario", "typo_campaign.json"])
 
     def test_preset_name_wins_over_local_file(self, tmp_path, monkeypatch, capsys):
         # A stray file/dir named like a preset must not shadow the catalogue.

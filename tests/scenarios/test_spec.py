@@ -1,6 +1,7 @@
-"""Tests for scenario specs: validation, round-tripping and YAML-lite."""
+"""Tests for scenario specs: validation, round-tripping and spec files."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,6 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    parse_yaml_lite,
 )
 from repro.simnet.failures import PartitionEvent
 
@@ -210,93 +210,29 @@ class TestQuick:
         assert rack.quick().duration == pytest.approx(1.2)
 
 
-class TestYamlLite:
-    def test_scalars_and_nesting(self):
-        parsed = parse_yaml_lite(
-            """
-            # a comment
-            name: demo  # trailing comment
-            duration: 2.5
-            seed: 7
-            flag: true
-            nothing: null
-            topology:
-              kind: wan
-              regions: 3
-            """
-        )
-        assert parsed == {
-            "name": "demo",
-            "duration": 2.5,
-            "seed": 7,
-            "flag": True,
-            "nothing": None,
-            "topology": {"kind": "wan", "regions": 3},
-        }
+README = Path(__file__).resolve().parents[2] / "README.md"
 
-    def test_inline_and_block_lists(self):
-        parsed = parse_yaml_lite(
-            """
-            groups: [[0, 1], [2, 3]]
-            mixed: [1, 2.5, hello, "quoted, text"]
-            items:
-              - 1
-              - 2
-            events:
-              - at: 1.0
-                heal_at: 2.0
-                groups: [[0], [1]]
-              - at: 3.0
-            """
-        )
-        assert parsed["groups"] == [[0, 1], [2, 3]]
-        assert parsed["mixed"] == [1, 2.5, "hello", "quoted, text"]
-        assert parsed["items"] == [1, 2]
-        assert parsed["events"] == [
-            {"at": 1.0, "heal_at": 2.0, "groups": [[0], [1]]},
-            {"at": 3.0},
-        ]
 
-    def test_apostrophes_do_not_swallow_comments(self):
-        parsed = parse_yaml_lite(
-            "desc: it's a run  # trailing comment\n"
-            'quoted: "keep # this"  # drop this\n'
-        )
-        assert parsed == {"desc": "it's a run", "quoted": "keep # this"}
-
-    def test_empty_and_errors(self):
-        assert parse_yaml_lite("") == {}
-        with pytest.raises(ValueError):
-            parse_yaml_lite("- just\n- a\n- list")
-        with pytest.raises(ValueError):
-            parse_yaml_lite("key: [1, 2")
-        with pytest.raises(ValueError):
-            parse_yaml_lite("key without colon")
-
-    def test_yaml_spec_matches_json_spec(self, tmp_path):
-        yaml_text = """
-        name: yaml-demo
-        duration: 2.0
-        committee:
-          size: 9
-        topology:
-          kind: wan
-          regions: 3
-        faults:
-          crashes: 1
-          partitions:
-            - at: 0.5
-              heal_at: 1.0
-              groups: [[0, 1, 2, 3, 4, 5], [6, 7, 8]]
-        """
+class TestSpecFiles:
+    def test_non_json_spec_file_refused(self, tmp_path):
         path = tmp_path / "spec.yaml"
-        path.write_text(yaml_text)
-        spec = ScenarioSpec.load(path)
-        assert spec.name == "yaml-demo"
-        assert spec.committee.size == 9
-        assert spec.faults.partitions[0].groups == ((0, 1, 2, 3, 4, 5), (6, 7, 8))
-        # The YAML form and its JSON re-serialisation describe the same spec.
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        path.write_text("name: yaml-demo\n")
+        with pytest.raises(ValueError, match=r"JSON \(\*\.json\)"):
+            ScenarioSpec.load(path)
+        # The facade reaches the same check for an existing file.
+        with pytest.raises(ValueError, match="JSON"):
+            api.resolve_spec(str(path))
+
+    def test_readme_spec_examples_are_json_specs(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            assert isinstance(ScenarioSpec.from_json(block), ScenarioSpec)
+
+    def test_hash_signature_scheme_refused(self):
+        spec = api.resolve_spec({"name": "old-backend", "signature_scheme": "hash"})
+        with pytest.raises(ValueError, match="unknown signature scheme 'hash'"):
+            api.run(spec, quick=True)
 
 
 def _spec_document(path: str, value: float) -> dict:

@@ -18,7 +18,7 @@ step can ``tail -n 1`` it into a gate or an artifact.
 
     python tools/sim_footprint.py SPEC|PRESET [--top N]
 
-``SPEC`` is a JSON or YAML scenario file, ``PRESET`` a built-in preset
+``SPEC`` is a JSON scenario file, ``PRESET`` a built-in preset
 name (``python -m repro scenario --list``).
 """
 
